@@ -11,8 +11,9 @@
 //	internal/core        the Allegro model (the paper's contribution) and
 //	                     the EvalScratch/Evaluator reusable-buffer pipeline
 //	internal/o3          O(3) representation theory and the fused tensor product
-//	internal/ad          reverse-mode autodiff over geometric ops, backed by
-//	                     a reusable tensor arena in steady-state loops
+//	internal/ad          reverse-mode autodiff over geometric ops (training
+//	                     and the reference the compiled plans are tested against)
+//	internal/plan        record-once/replay compiled inference plans
 //	internal/md          molecular dynamics engine
 //	internal/domain      persistent rank runtime: LAMMPS-style spatial
 //	                     decomposition with incremental ghost exchange and
@@ -32,9 +33,11 @@
 // WithGrid/WithAutoDecompose — behind one uniform lifecycle: Step,
 // Run(ctx), Report, Checkpoint/Resume, idempotent Close, and observer
 // hooks (WithObserver, WithTrajectoryWriter). Trajectories are
-// bit-identical across backends, rank grids, skins, and worker counts.
-// See README.md for the options table and the migration guide from the
-// deprecated NewSim/NewDecomposedSim constructors.
+// bit-identical across worker counts on each backend, and across rank
+// grids, skins, overlap and transports on the decomposed backend; the
+// serial and decomposed backends agree to accumulation-order noise (the
+// serial neighbor list orders a center's pairs differently). See README.md
+// for the options table.
 package allegro
 
 import (
@@ -46,7 +49,6 @@ import (
 	"repro/internal/domain"
 	"repro/internal/experiments"
 	"repro/internal/groundtruth"
-	"repro/internal/md"
 	"repro/internal/units"
 )
 
@@ -70,8 +72,6 @@ type (
 	// RuntimeOptions configures the rank grid, Verlet skin, halo, and
 	// per-rank worker pools of a Runtime.
 	RuntimeOptions = domain.RuntimeOptions
-	// DecomposedSim is an MD simulation driven by a persistent Runtime.
-	DecomposedSim = md.DecomposedSim
 	// Frame is a labeled structure (system + reference energy/forces).
 	Frame = atoms.Frame
 	// System is a collection of atoms, optionally periodic.
@@ -110,44 +110,9 @@ func DefaultTrainConfig() TrainConfig { return core.DefaultTrainConfig() }
 // LoadModel reads a model saved with (*Model).Save.
 func LoadModel(path string) (*Model, error) { return core.Load(path) }
 
-// NewSim prepares an MD simulation of sys under the model with timestep dt
-// (fs). The model is wrapped in an Evaluator, so every force call runs the
-// parallel evaluation pipeline and reuses the same buffer arena: after the
-// first step the force path performs (almost) no heap allocations, the
-// single-node analogue of the paper's padded, allocator-stable LAMMPS
-// plugin. Size the worker pool with Config.Workers (default: all cores).
-//
-// Deprecated: use NewSimulation, which runs the identical serial backend
-// (default-option trajectories are bit-for-bit the same) behind the
-// uniform lifecycle — Run(ctx), Report, observers, Checkpoint/Resume,
-// Close — and scales to the decomposed backend by options alone.
-func NewSim(sys *System, model *Model, dt float64) *md.Sim {
-	return md.NewSim(sys, core.NewEvaluator(model), dt)
-}
-
 // NewEvaluator wraps a model in the reusable-buffer evaluation pipeline for
-// callers that drive force calls directly instead of through NewSim.
+// callers that drive force calls directly instead of through NewSimulation.
 func NewEvaluator(model *Model) *Evaluator { return core.NewEvaluator(model) }
-
-// NewDecomposedSim prepares a spatially decomposed MD simulation: the box
-// is split across opts.Grid rank workers, each owning its subdomain's atoms
-// plus a ghost halo of one cutoff (+ Verlet skin), and every Step runs the
-// persistent runtime's incremental exchange instead of a global force call.
-// Trajectories are bit-identical to the single-rank path for any grid and
-// skin; steady-state steps (no rebuild) allocate nothing. Call Close on the
-// returned simulation when done.
-//
-// Deprecated: use NewSimulation with WithGrid (or WithAutoDecompose),
-// which runs the identical persistent runtime (trajectories are
-// bit-for-bit the same for equal grid/skin/workers) behind the uniform
-// lifecycle shared with the serial backend.
-func NewDecomposedSim(sys *System, model *Model, dt float64, opts RuntimeOptions) (*DecomposedSim, error) {
-	rt, err := domain.NewRuntime(model, sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	return md.NewDecomposedSim(sys, rt, dt), nil
-}
 
 // NewWaterLongRange returns the Wolf-summation long-range electrostatics
 // extension for water, composable with a model via WithExtraPotential

@@ -184,26 +184,36 @@ func BenchmarkNeighborBuildSteadyState(b *testing.B) {
 }
 
 // BenchmarkEvaluatorSteadyState measures the full zero-allocation force
-// pipeline — parallel neighbor build, arena-backed tape, sharded force
-// reduction — against the allocating Evaluate path. The backend is wired
-// through allegro.NewSimulation (the one simulation API), so the guard
-// covers exactly what production MD runs. Steady-state allocs/op stay fixed
-// and small regardless of system size.
+// pipeline — parallel neighbor build, chunked compiled-plan replay, the
+// pair-order reduction — at exact precision on one and on all workers, and
+// at the paper's production operating point (F64 final, F32 weights, TF32
+// compute, 64 tensor channels, so the fused tensor product and the
+// narrow-precision scratch carry their production share). The backend is
+// wired through allegro.NewSimulation (the one simulation API), so the guard
+// covers exactly what production MD runs: every case must report 0
+// allocs/op (the CI bench-smoke job enforces this).
 func BenchmarkEvaluatorSteadyState(b *testing.B) {
-	cfg := DefaultConfig([]Species{H, O})
+	exact := DefaultConfig([]Species{H, O})
+	production := DefaultConfig([]Species{H, O})
+	production.Precision = core.ProductionPrecision()
+	production.NumChannels = 64
 	rng := rand.New(rand.NewPCG(7, 9))
 	sys := data.WaterBox(rng, 2, 2, 2)
-	for _, workers := range []int{1, 0} {
-		name := "workers=1"
-		if workers == 0 {
-			name = "workers=max"
-		}
-		b.Run(name, func(b *testing.B) {
-			model, err := NewModel(cfg, 5)
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		workers int
+	}{
+		{"workers=1", exact, 1},
+		{"workers=max", exact, 0},
+		{"production", production, 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			model, err := NewModel(c.cfg, 5)
 			if err != nil {
 				b.Fatal(err)
 			}
-			sim, err := NewSimulation(sys.Clone(), model, WithWorkers(workers))
+			sim, err := NewSimulation(sys.Clone(), model, WithWorkers(c.workers))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -219,133 +229,6 @@ func BenchmarkEvaluatorSteadyState(b *testing.B) {
 				pot.EnergyForcesInto(run, forces)
 			}
 			b.ReportMetric(float64(pot.PairWork())*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-		})
-	}
-}
-
-// BenchmarkCompiledEvaluatorSteadyState measures the compiled inference
-// engine against the interpreted tape on the identical serial workload at
-// the paper's production mixed precision (F64 final, F32 weights, TF32
-// compute) and production tensor multiplicity (64 channels, so the fused
-// tensor product carries its production share of the step) — the regime
-// where the tape pays per-call weight re-rounding and TPEntry re-folding,
-// rounding-scratch allocations, dead weight-adjoint accumulation, and
-// per-element precision dispatch that the record-once/replay plans fold
-// away at compile time. The two modes are bit-identical in outputs;
-// mode=compiled must stay 0 allocs/op and its pairs/s must exceed
-// mode=tape by >= 1.3x (both guarded in CI, ratio recorded in
-// BENCH_compiled.json).
-func BenchmarkCompiledEvaluatorSteadyState(b *testing.B) {
-	cfg := DefaultConfig([]Species{H, O})
-	cfg.Precision = core.ProductionPrecision()
-	cfg.NumChannels = 64
-	rng := rand.New(rand.NewPCG(7, 9))
-	sys := data.WaterBox(rng, 2, 2, 2)
-	for _, mode := range []string{"tape", "compiled"} {
-		b.Run("mode="+mode, func(b *testing.B) {
-			model, err := NewModel(cfg, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim, err := NewSimulation(sys.Clone(), model,
-				WithWorkers(1), WithCompiled(mode == "compiled"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sim.Close()
-			pot := sim.Potential().(perfmodel.InstrumentedPotential)
-			run := sim.System()
-			forces := make([][3]float64, run.NumAtoms())
-			pot.EnergyForcesInto(run, forces)
-			pot.EnergyForcesInto(run, forces)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pot.EnergyForcesInto(run, forces)
-			}
-			b.ReportMetric(float64(pot.PairWork())*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-		})
-	}
-}
-
-// BenchmarkKernelEvaluatorSteadyState measures the register-blocked
-// microkernel layer (internal/tensor/kern + the blocked o3 contractions)
-// against the pre-kern reference kernels on the identical compiled-plan
-// workload as BenchmarkCompiledEvaluatorSteadyState: production mixed
-// precision, 64 channels, serial steady state. Both modes replay the same
-// plans and are bit-identical in outputs; mode=kern must stay 0 allocs/op
-// and its pairs/s must reach >= 1.25x mode=ref (the PR's BENCH_simd gate —
-// mode=ref is the PR-5 compiled evaluator measured on the same machine).
-func BenchmarkKernelEvaluatorSteadyState(b *testing.B) {
-	cfg := DefaultConfig([]Species{H, O})
-	cfg.Precision = core.ProductionPrecision()
-	cfg.NumChannels = 64
-	rng := rand.New(rand.NewPCG(7, 9))
-	sys := data.WaterBox(rng, 2, 2, 2)
-	for _, mode := range []string{"ref", "kern"} {
-		b.Run("mode="+mode, func(b *testing.B) {
-			model, err := NewModel(cfg, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim, err := NewSimulation(sys.Clone(), model,
-				WithWorkers(1), WithCompiled(true), WithRefKernels(mode == "ref"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sim.Close()
-			pot := sim.Potential().(perfmodel.InstrumentedPotential)
-			run := sim.System()
-			forces := make([][3]float64, run.NumAtoms())
-			pot.EnergyForcesInto(run, forces)
-			pot.EnergyForcesInto(run, forces)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pot.EnergyForcesInto(run, forces)
-			}
-			b.ReportMetric(float64(pot.PairWork())*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-		})
-	}
-}
-
-// BenchmarkCompiledRuntimeStep measures the same tape-vs-compiled pair on
-// the decomposed persistent-rank runtime (every rank replays its own
-// per-shape plan cache) at production precision: the steady-state 2x2x2
-// step with warm Verlet lists. mode=compiled must stay 0 allocs/op
-// (CI-guarded alongside the evaluator benchmark).
-func BenchmarkCompiledRuntimeStep(b *testing.B) {
-	cfg := DefaultConfig([]Species{H, O})
-	cfg.Workers = 1
-	cfg.DefaultCutoff = 3.0
-	cfg.AvgNumNeighbors = 10
-	cfg.Precision = core.ProductionPrecision()
-	rng := rand.New(rand.NewPCG(7, 9))
-	sys := data.WaterBox(rng, 3, 3, 3)
-	for _, mode := range []string{"tape", "compiled"} {
-		b.Run("mode="+mode, func(b *testing.B) {
-			model, err := NewModel(cfg, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim, err := NewSimulation(sys.Clone(), model,
-				WithGrid(2, 2, 2), WithSkin(0.5), WithCompiled(mode == "compiled"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sim.Close()
-			pot := sim.Potential().(perfmodel.InstrumentedPotential)
-			run := sim.System()
-			forces := make([][3]float64, run.NumAtoms())
-			pot.EnergyForcesInto(run, forces)
-			pot.EnergyForcesInto(run, forces)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pot.EnergyForcesInto(run, forces)
-			}
-			st, _ := sim.Stats()
-			b.ReportMetric(float64(st.PairWork)*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
 		})
 	}
 }
@@ -374,7 +257,7 @@ func BenchmarkReuseSteadyState(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			opts := []Option{WithWorkers(1), WithCompiled(true)}
+			opts := []Option{WithWorkers(1)}
 			if mode == "reuse" {
 				opts = append(opts, WithReuse(0.05))
 			}
@@ -424,8 +307,8 @@ func BenchmarkReuseSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateAllocating is the pre-pipeline baseline (fresh neighbor
-// list, heap tape, fresh force buffers every call) for comparison with
+// BenchmarkEvaluateAllocating is the tape oracle (fresh neighbor list, heap
+// tape, fresh force buffers every call) for comparison with
 // BenchmarkEvaluatorSteadyState.
 func BenchmarkEvaluateAllocating(b *testing.B) {
 	model, err := NewModel(DefaultConfig([]Species{H, O}), 5)
@@ -472,24 +355,36 @@ func BenchmarkMixedPrecisionMatmul(b *testing.B) {
 
 // BenchmarkRuntimeStep measures the steady-state decomposed MD step: warm
 // Verlet lists, no rebuild, incremental ghost exchange and canonical
-// reduction across persistent rank workers — 0 allocs/op (the CI bench-smoke
-// job enforces this), with achieved pairs/s reported. The runtime is wired
+// reduction across persistent rank workers, at exact precision on 1 and 8
+// ranks and at production precision on 8 (every rank replays its own
+// per-shape plan cache) — 0 allocs/op in every case (the CI bench-smoke job
+// enforces this), with achieved pairs/s reported. The runtime is wired
 // through allegro.NewSimulation, the one simulation API.
 func BenchmarkRuntimeStep(b *testing.B) {
-	cfg := DefaultConfig([]Species{H, O})
-	cfg.Workers = 1
-	cfg.DefaultCutoff = 3.0
-	cfg.AvgNumNeighbors = 10
+	exact := DefaultConfig([]Species{H, O})
+	exact.Workers = 1
+	exact.DefaultCutoff = 3.0
+	exact.AvgNumNeighbors = 10
+	production := exact
+	production.Precision = core.ProductionPrecision()
 	rng := rand.New(rand.NewPCG(7, 9))
 	sys := data.WaterBox(rng, 3, 3, 3)
-	for _, grid := range [][3]int{{1, 1, 1}, {2, 2, 2}} {
-		b.Run(fmt.Sprintf("ranks=%d", grid[0]*grid[1]*grid[2]), func(b *testing.B) {
-			model, err := NewModel(cfg, 5)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		grid [3]int
+	}{
+		{"ranks=1", exact, [3]int{1, 1, 1}},
+		{"ranks=8", exact, [3]int{2, 2, 2}},
+		{"ranks=8/production", production, [3]int{2, 2, 2}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			model, err := NewModel(c.cfg, 5)
 			if err != nil {
 				b.Fatal(err)
 			}
 			sim, err := NewSimulation(sys.Clone(), model,
-				WithGrid(grid[0], grid[1], grid[2]), WithSkin(0.5))
+				WithGrid(c.grid[0], c.grid[1], c.grid[2]), WithSkin(0.5))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -8,13 +8,9 @@
 //	allegro-bench -list               # list experiment IDs
 //	allegro-bench -exp fig4 -full     # full (slower) scale
 //	allegro-bench -measure            # measure single-node pairs/sec and
-//	                                  # allocs/op of the parallel pipeline
-//	                                  # in both execution modes (tape and
-//	                                  # compiled plans, with the speedup),
+//	                                  # allocs/op of the parallel pipeline,
 //	                                  # then print a cluster model
 //	                                  # calibrated from the measurement
-//	allegro-bench -measure -compiled=false  # anchor the cluster model on
-//	                                  # the tape path instead
 package main
 
 import (
@@ -47,7 +43,6 @@ func main() {
 		measure  = flag.Bool("measure", false, "measure single-node throughput and exit")
 		workers  = flag.Int("workers", 0, "worker pool size for -measure (0: all cores)")
 		steps    = flag.Int("steps", 5, "timed force calls for -measure")
-		compiled = flag.Bool("compiled", true, "anchor -measure on the compiled inference plans (false: autodiff tape)")
 		kernels  = flag.Bool("kernels", false, "print a per-kernel wall-time breakdown of the compiled replay (serial, one worker)")
 		reuse    = flag.Bool("reuse", false, "sweep the temporal-reuse engine over eps on a thermostatted water trajectory and emit BENCH_reuse.json")
 		reuseOut = flag.String("reuse-out", "BENCH_reuse.json", "output path of the -reuse sweep report")
@@ -76,7 +71,7 @@ func main() {
 		return
 	}
 	if *measure {
-		if err := runMeasure(*workers, *steps, *seed, *compiled); err != nil {
+		if err := runMeasure(*workers, *steps, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "allegro-bench:", err)
 			os.Exit(1)
 		}
@@ -114,16 +109,12 @@ func runKernels(steps int, seed uint64) error {
 	sys := data.WaterBox(rand.New(rand.NewPCG(seed, 2)), 3, 3, 3)
 	var kp core.KernelProfile
 	sim, err := allegro.NewSimulation(sys, model,
-		allegro.WithWorkers(1), allegro.WithCompiled(true),
-		allegro.WithKernelProfile(&kp))
+		allegro.WithWorkers(1), allegro.WithKernelProfile(&kp))
 	if err != nil {
 		return err
 	}
 	defer sim.Close()
 	sim.Measure(steps) // warm-up happens inside; kp accumulates every replay
-	if kp.Replays == 0 {
-		return fmt.Errorf("no compiled replays recorded (tape fallback active?)")
-	}
 	total := kp.Total()
 	perReplay := func(d time.Duration) time.Duration {
 		return d / time.Duration(kp.Replays)
@@ -151,43 +142,29 @@ func runKernels(steps int, seed uint64) error {
 }
 
 // runMeasure times the force backend behind the one simulation API on a
-// water box — in both execution modes, so the tape-vs-compiled speedup is
-// visible — and prints the cluster throughput model re-anchored at the
-// selected mode's per-atom time (instead of the frozen A100 calibration
+// water box and prints the cluster throughput model re-anchored at the
+// measured per-atom time (instead of the frozen A100 calibration
 // constants). The same allegro.NewSimulation + Measure pair serves the
 // decomposed backend in allegro-md -measure.
-func runMeasure(workers, steps int, seed uint64, compiled bool) error {
+func runMeasure(workers, steps int, seed uint64) error {
 	cfg := core.DefaultConfig([]units.Species{units.H, units.O})
 	model, err := core.New(cfg, nil, rand.New(rand.NewPCG(seed, 0xBE9C)))
 	if err != nil {
 		return err
 	}
 	sys := data.WaterBox(rand.New(rand.NewPCG(seed, 2)), 3, 3, 3)
-	var meas perfmodel.Measurement
-	modes := []bool{false, true} // tape first, then the compiled replay
-	rates := map[bool]float64{}
-	for _, on := range modes {
-		sim, err := allegro.NewSimulation(sys, model,
-			allegro.WithWorkers(workers), allegro.WithCompiled(on))
-		if err != nil {
-			return err
-		}
-		m := sim.Measure(steps).Measurement
-		sim.Close()
-		rates[on] = m.PairsPerSec
-		fmt.Println(m)
-		fmt.Printf("  atoms/s            %12.4g\n", m.AtomsPerSec)
-		fmt.Printf("  bytes/op           %12.0f\n", m.BytesPerOp)
-		if on == compiled {
-			meas = m
-		}
+	sim, err := allegro.NewSimulation(sys, model, allegro.WithWorkers(workers))
+	if err != nil {
+		return err
 	}
-	if rates[false] > 0 {
-		fmt.Printf("tape -> compiled speedup: %.2fx pairs/s\n", rates[true]/rates[false])
-	}
+	meas := sim.Measure(steps).Measurement
+	sim.Close()
+	fmt.Println(meas)
+	fmt.Printf("  atoms/s            %12.4g\n", meas.AtomsPerSec)
+	fmt.Printf("  bytes/op           %12.0f\n", meas.BytesPerOp)
 
 	mach := perfmodel.CalibrateMachine(cluster.Perlmutter(), meas)
-	fmt.Printf("calibrated cluster model (measured %s compute, configured interconnect):\n", mach.AnchorMode)
+	fmt.Println("calibrated cluster model (measured compute, configured interconnect):")
 	for _, w := range []cluster.Workload{
 		cluster.Water("water-1M", 1_000_000),
 		cluster.Biosystem("Capsid", 44_000_000),
@@ -248,7 +225,6 @@ func runReuseSweep(out string, seed uint64) error {
 		rep.Atoms = sys.NumAtoms()
 		opts := []allegro.Option{
 			allegro.WithWorkers(1),
-			allegro.WithCompiled(true),
 			allegro.WithTimestep(dt),
 			allegro.WithTemperature(temp),
 			allegro.WithSeed(seed),

@@ -58,7 +58,6 @@ func main() {
 		autoGrid  = flag.Bool("auto-grid", false, "let the performance model pick the rank grid")
 		skin      = flag.Float64("skin", 0.5, "Verlet skin (A) for the decomposed path; 0 rebuilds every step")
 		overlap   = flag.Bool("overlap", false, "hide the ghost exchange behind interior-block evaluation (decomposed path)")
-		compiled  = flag.Bool("compiled", true, "replay compiled inference plans (false: interpreted autodiff tape; trajectories are bit-identical)")
 		wpr       = flag.Int("workers-per-rank", 1, "worker pool size inside each rank")
 		measure   = flag.Bool("measure", false, "measure steady-state throughput and exchange volume, then exit")
 		traj      = flag.String("traj", "", "write an XYZ trajectory to this file")
@@ -126,7 +125,6 @@ func main() {
 	if *overlap {
 		opts = append(opts, allegro.WithOverlap())
 	}
-	opts = append(opts, allegro.WithCompiled(*compiled))
 	if *reuseEps > 0 {
 		opts = append(opts, allegro.WithReuse(*reuseEps))
 	}
@@ -147,12 +145,16 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sim.Close()
-	fmt.Printf("backend: %s, %s (%d ranks, halo %.1f A + skin %.1f A)\n",
-		sim.Backend(), sim.ExecMode(), sim.NumRanks(), model.Cuts.Max(), *skin)
+	fmt.Printf("backend: %s (%d ranks, halo %.1f A + skin %.1f A)\n",
+		sim.Backend(), sim.NumRanks(), model.Cuts.Max(), *skin)
 
 	if *measure {
 		meas := sim.Measure(*steps)
-		fmt.Println(meas)
+		if sim.Decomposed() {
+			fmt.Println(meas)
+		} else {
+			fmt.Println(meas.Measurement) // no ranks, exchange or phases to report
+		}
 		if *reuseEps > 0 || *respa > 1 {
 			if rs, ok := sim.ReuseStats(); ok {
 				fmt.Printf("reuse: fraction %.1f%% of pair work cached, %.1f active centers/step of %d, %d full evals over %d calls\n",
@@ -162,26 +164,8 @@ func main() {
 			// steady-trajectory reuse; what eps actually costs is probed on
 			// a moving trajectory — exact re-evaluation at the states the
 			// approximate engine visited.
-			maxF, dE := reuseDrift(model, *system, *seed, *steps, *dt, *temp, *skin, *compiled, *reuseEps, *respa)
+			maxF, dE := reuseDrift(model, *system, *seed, *steps, *dt, *temp, *skin, *reuseEps, *respa)
 			fmt.Printf("drift vs exact over %d steps: max force error %.3g eV/A, energy error %.3g eV/atom\n", *steps, maxF, dE)
-			return
-		}
-		// Reference run in the other execution mode: the tape-vs-compiled
-		// speedup of this backend on this system.
-		refOpts := append(opts[:len(opts):len(opts)], allegro.WithCompiled(!*compiled))
-		ref, err := allegro.NewSimulation(sys, model, refOpts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		refMeas := ref.Measure(*steps)
-		ref.Close()
-		fmt.Println(refMeas)
-		tapeRate, compRate := meas.PairsPerSec, refMeas.PairsPerSec
-		if *compiled {
-			tapeRate, compRate = refMeas.PairsPerSec, meas.PairsPerSec
-		}
-		if tapeRate > 0 {
-			fmt.Printf("tape -> compiled speedup: %.2fx pairs/s\n", compRate/tapeRate)
 		}
 		return
 	}
@@ -228,13 +212,12 @@ func avgPerStep(total, steps int64) float64 {
 // measures the approximation itself — not the chaotic trajectory
 // divergence that any perturbation, however small, grows exponentially.
 // With eps = 0 and k = 1 both numbers are exactly zero.
-func reuseDrift(model *core.Model, system string, seed uint64, steps int, dt, temp, skin float64, compiled bool, eps float64, k int) (maxForceErr, energyErrPerAtom float64) {
+func reuseDrift(model *core.Model, system string, seed uint64, steps int, dt, temp, skin float64, eps float64, k int) (maxForceErr, energyErrPerAtom float64) {
 	sys := buildSystem(system, seed)
 	opts := []allegro.Option{
 		allegro.WithTimestep(dt),
 		allegro.WithSeed(seed),
 		allegro.WithSkin(skin),
-		allegro.WithCompiled(compiled),
 	}
 	if temp > 0 {
 		opts = append(opts, allegro.WithTemperature(temp))

@@ -51,12 +51,6 @@ type Machine struct {
 	// are not discounted (ghost positions travel regardless of how many
 	// centers replay).
 	ReuseFraction float64
-	// AnchorMode records which execution mode ("compiled" or "tape")
-	// produced the measured TimePerAtom anchor, when the machine was
-	// calibrated from a perfmodel measurement (empty for the frozen
-	// published constants). perfmodel.CalibrateMachineDecomposed uses it
-	// to keep tape and compiled anchors from being mixed in one model.
-	AnchorMode string
 	// LinkLatency/LinkBandwidth are measured per-link values populated by
 	// perfmodel.CalibrateMachineTransport from a live transport's heartbeat
 	// RTTs and byte counters (s and B/s). When positive they override the

@@ -13,7 +13,7 @@ import (
 
 // compilePlan records the Allegro forward pass once for a (Z pairs, N atoms)
 // chunk shape into a flat execution plan. The statement sequence below
-// mirrors buildGraphOn exactly — same ops, same order, same rounding points
+// mirrors buildGraph exactly — same ops, same order, same rounding points
 // — which is what makes compiled replay bit-identical to the tape path; the
 // plan just strips the Value/Tape bookkeeping, folds the frozen weights once
 // (rounded matmul operands, fused TPEntry tables via Inputs.Fused), and
@@ -113,8 +113,9 @@ type planCache struct {
 	shared  *PlanRegistry
 	ti, tj  []int
 	in      plan.Inputs
-	// refKernels mirrors EvalScratch.RefKernels onto every program this
-	// cache dispatches (bit-identical reference kernels, for A/B benches).
+	// refKernels replays every program this cache dispatches on the pre-kern
+	// reference kernels (bit-identical; the differential oracle of
+	// TestKernKernelsMatchReference — nothing outside tests sets it).
 	refKernels bool
 	// profile mirrors EvalScratch.Profile: when non-nil, replays run through
 	// plan.ExecuteProfiled and fold per-kernel-class timings into it.

@@ -32,8 +32,9 @@ func mixedCluster(rng *rand.Rand, species []units.Species, nm int) *atoms.System
 // TestCompiledMatchesTape is the correctness bar of the compiled inference
 // engine: across precision configs, species mixes, worker counts (serial,
 // chunked, ragged chunk tails), and pair-list padding, compiled replay must
-// reproduce the tape path's energies, forces, and row harvests exactly —
-// the two paths perform operation-for-operation identical arithmetic.
+// reproduce the tape oracle's energies, forces, and row harvests exactly —
+// the two perform operation-for-operation identical arithmetic and share
+// one reduction (ReduceRows).
 func TestCompiledMatchesTape(t *testing.T) {
 	precisions := []struct {
 		name string
@@ -76,35 +77,27 @@ func TestCompiledMatchesTape(t *testing.T) {
 				if pad > 0 {
 					pairs.PadTo(pairs.Len() + pad)
 				}
+				rt := m.EvaluatePairs(sys, pairs)
+				rowsT, peT := m.tapeRows(sys, pairs)
 				for _, workers := range []int{1, 3, 8} {
 					name := fmt.Sprintf("%s/species=%d/pad=%d/workers=%d", pr.name, len(species), pad, workers)
 
-					tape := NewEvalScratch()
-					tape.Workers = workers
-					tape.Compiled = CompiledOff
 					comp := NewEvalScratch()
 					comp.Workers = workers
-					comp.Compiled = CompiledOn
 
-					rt := m.EvaluatePairsInto(tape, sys, pairs)
-					eT := rt.Energy
-					fT := append([][3]float64(nil), rt.Forces...)
 					rc := m.EvaluatePairsInto(comp, sys, pairs)
-					if rc.Energy != eT {
-						t.Fatalf("%s: energy tape %v vs compiled %v", name, eT, rc.Energy)
+					if rc.Energy != rt.Energy {
+						t.Fatalf("%s: energy tape %v vs compiled %v", name, rt.Energy, rc.Energy)
 					}
-					for i := range fT {
-						if rc.Forces[i] != fT[i] {
-							t.Fatalf("%s: force[%d] tape %v vs compiled %v", name, i, fT[i], rc.Forces[i])
+					for i := range rt.Forces {
+						if rc.Forces[i] != rt.Forces[i] {
+							t.Fatalf("%s: force[%d] tape %v vs compiled %v", name, i, rt.Forces[i], rc.Forces[i])
 						}
 					}
 
 					// Row-level entry point (the domain runtime's path).
-					rowsT := make([][3]float64, pairs.Len())
-					peT := make([]float64, pairs.Len())
 					rowsC := make([][3]float64, pairs.Len())
 					peC := make([]float64, pairs.Len())
-					m.EvaluateRowsInto(tape, sys, pairs, rowsT, peT)
 					m.EvaluateRowsInto(comp, sys, pairs, rowsC, peC)
 					for z := range rowsT {
 						if rowsC[z] != rowsT[z] || peC[z] != peT[z] {
@@ -112,7 +105,6 @@ func TestCompiledMatchesTape(t *testing.T) {
 								name, z, rowsT[z], peT[z], rowsC[z], peC[z])
 						}
 					}
-					tape.Close()
 					comp.Close()
 				}
 			}
@@ -121,10 +113,11 @@ func TestCompiledMatchesTape(t *testing.T) {
 }
 
 // TestKernKernelsMatchReference drives the same compiled plans through both
-// kernel sets — the register-blocked/packed kern layer (the default) and the
-// pre-kern reference kernels (RefKernels) — and requires exact agreement in
-// energies, forces, and row harvests. Together with TestCompiledMatchesTape
-// (tape vs kern) this pins all three execution paths to the same bits.
+// kernel sets — the register-blocked/packed kern layer (what every caller
+// runs) and the pre-kern reference kernels (planCache.refKernels, reachable
+// only from here) — and requires exact agreement in energies, forces, and
+// row harvests. Together with TestCompiledMatchesTape (tape vs kern) this
+// pins all three implementations to the same bits.
 func TestKernKernelsMatchReference(t *testing.T) {
 	for _, pr := range []struct {
 		name string
@@ -157,10 +150,9 @@ func TestKernKernelsMatchReference(t *testing.T) {
 			pairs.PadTo(pairs.Len() + 11) // ragged tiles and tail batches
 
 			ref := NewEvalScratch()
-			ref.Compiled = CompiledOn
-			ref.RefKernels = true
+			ref.Workers = 1 // chunk workers own their caches; the oracle runs serial
+			ref.plans.refKernels = true
 			kernScr := NewEvalScratch()
-			kernScr.Compiled = CompiledOn
 			defer ref.Close()
 			defer kernScr.Close()
 
@@ -242,4 +234,20 @@ func TestPlanCacheReuse(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCompiledForcesArePhysical runs the tape's two physics checks
+// (TestForcesMatchFiniteDifference, TestForceEquivariance) on the path
+// callers actually run: through EvaluatePairsInto, forces are the negative
+// energy gradient by central differences and rotate with the system.
+func TestCompiledForcesArePhysical(t *testing.T) {
+	m := newTinyModel(t, 9)
+	es := NewEvalScratch()
+	defer es.Close()
+	eval := func(sys *atoms.System) (float64, [][3]float64) {
+		r := m.EvaluateInto(es, sys)
+		return r.Energy, append([][3]float64(nil), r.Forces...)
+	}
+	checkForcesMatchFiniteDifference(t, eval)
+	checkForceEquivariance(t, eval, 1e-8)
 }

@@ -47,33 +47,6 @@ func ExactPrecision() PrecisionConfig {
 	return PrecisionConfig{Final: tensor.F64, Weights: tensor.F64, Compute: tensor.F64}
 }
 
-// CompiledMode selects how inference evaluations execute: via the compiled
-// record-once/replay plans of internal/plan (the production default) or via
-// the general autodiff tape. Training always uses the tape (it needs live
-// parameter gradients); the two inference paths are bit-identical, so the
-// toggle trades nothing but speed.
-type CompiledMode int
-
-const (
-	// CompiledAuto defers to the default: compiled plans for inference.
-	CompiledAuto CompiledMode = iota
-	// CompiledOn forces the compiled replay path.
-	CompiledOn
-	// CompiledOff forces the interpreted autodiff tape.
-	CompiledOff
-)
-
-// Enabled resolves the mode (Auto means on).
-func (c CompiledMode) Enabled() bool { return c != CompiledOff }
-
-// String renders the execution mode for logs and measurements.
-func (c CompiledMode) String() string {
-	if c.Enabled() {
-		return "compiled"
-	}
-	return "tape"
-}
-
 // Config specifies an Allegro model architecture.
 type Config struct {
 	// Species is the model's type system (atom types correspond one-to-one
@@ -107,14 +80,10 @@ type Config struct {
 	// "as a means to improve the stability of the potential" (Sec. VI-D).
 	ZBL bool
 	// Workers bounds the CPU worker pool used by parallel neighbor builds
-	// and sharded force reductions (the single-node stand-in for the
-	// paper's per-GPU parallelism). Values <= 0 select
-	// runtime.GOMAXPROCS(0); 1 forces the serial path.
+	// and chunked evaluations (the single-node stand-in for the paper's
+	// per-GPU parallelism). Values <= 0 select runtime.GOMAXPROCS(0); 1
+	// forces the serial path. Results are bit-identical for every value.
 	Workers int
-	// Compiled selects the inference execution mode: record-once/replay
-	// plans (default) or the autodiff tape. Per-scratch overrides
-	// (EvalScratch.Compiled, allegro.WithCompiled) take precedence.
-	Compiled CompiledMode
 }
 
 // DefaultConfig returns a small but architecturally complete Allegro

@@ -125,33 +125,39 @@ func TestEnergyInvariance(t *testing.T) {
 	}
 }
 
-func TestForceEquivariance(t *testing.T) {
-	// Forces must rotate with the system: F(Rx) = R F(x).
-	m := newTinyModel(t, 6)
+// evalFunc is one way of evaluating a model: the tape oracle or the
+// compiled path. The physics checks below run over both.
+type evalFunc func(sys *atoms.System) (float64, [][3]float64)
+
+// checkForceEquivariance: forces must rotate with the system, F(Rx) = R F(x).
+func checkForceEquivariance(t *testing.T, eval evalFunc, tol float64) {
+	t.Helper()
 	rng := rand.New(rand.NewPCG(7, 8))
 	sys := waterCluster(rng, 2)
-	f0 := m.Evaluate(sys).Forces
+	_, f0 := eval(sys)
 	r := o3.RandomRotation(rng)
 	rot := sys.Clone()
 	for i := range rot.Pos {
 		rot.Pos[i] = o3.ApplyRotation(r, rot.Pos[i])
 	}
-	f1 := m.Evaluate(rot).Forces
+	_, f1 := eval(rot)
 	for i := range f0 {
 		want := o3.ApplyRotation(r, f0[i])
 		for k := 0; k < 3; k++ {
-			if math.Abs(want[k]-f1[i][k]) > 1e-7 {
+			if math.Abs(want[k]-f1[i][k]) > tol {
 				t.Fatalf("force equivariance violated at atom %d: %v vs %v", i, want, f1[i])
 			}
 		}
 	}
 }
 
-func TestForcesMatchFiniteDifference(t *testing.T) {
-	m := newTinyModel(t, 9)
+// checkForcesMatchFiniteDifference: forces are the negative energy gradient
+// by central differences.
+func checkForcesMatchFiniteDifference(t *testing.T, eval evalFunc) {
+	t.Helper()
 	rng := rand.New(rand.NewPCG(10, 11))
 	sys := waterCluster(rng, 2)
-	res := m.Evaluate(sys)
+	_, forces := eval(sys)
 	const h = 1e-5
 	for _, i := range []int{0, 1, 3, 5} {
 		for k := 0; k < 3; k++ {
@@ -159,12 +165,22 @@ func TestForcesMatchFiniteDifference(t *testing.T) {
 			sm := sys.Clone()
 			sp.Pos[i][k] += h
 			sm.Pos[i][k] -= h
-			fd := -(m.Evaluate(sp).Energy - m.Evaluate(sm).Energy) / (2 * h)
-			if math.Abs(fd-res.Forces[i][k]) > 1e-4*(1+math.Abs(fd)) {
-				t.Fatalf("force[%d][%d]: fd=%g model=%g", i, k, fd, res.Forces[i][k])
+			ep, _ := eval(sp)
+			em, _ := eval(sm)
+			fd := -(ep - em) / (2 * h)
+			if math.Abs(fd-forces[i][k]) > 1e-4*(1+math.Abs(fd)) {
+				t.Fatalf("force[%d][%d]: fd=%g model=%g", i, k, fd, forces[i][k])
 			}
 		}
 	}
+}
+
+func TestForceEquivariance(t *testing.T) {
+	checkForceEquivariance(t, newTinyModel(t, 6).EnergyForces, 1e-7)
+}
+
+func TestForcesMatchFiniteDifference(t *testing.T) {
+	checkForcesMatchFiniteDifference(t, newTinyModel(t, 9).EnergyForces)
 }
 
 func TestStrictLocality(t *testing.T) {

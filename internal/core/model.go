@@ -210,15 +210,6 @@ func (m *Model) buildGraph(sys *atoms.System, pairs *neighbor.Pairs, train bool)
 	cfg := &m.Cfg
 	tape := ad.NewTape(cfg.Precision.Compute, cfg.Precision.Weights)
 	b := nn.NewBinder(tape, train)
-	g := m.buildGraphOn(tape, b, sys, pairs, train)
-	return &g
-}
-
-// buildGraphOn runs the forward pass on a caller-provided tape and binder —
-// the steady-state entry point: with an arena-backed tape (EvalScratch) all
-// activations, gradients, and nodes come from recycled storage.
-func (m *Model) buildGraphOn(tape *ad.Tape, b *nn.Binder, sys *atoms.System, pairs *neighbor.Pairs, train bool) graph {
-	cfg := &m.Cfg
 	z := pairs.Len()
 
 	// Pair displacement leaf (forces flow into this).
@@ -291,7 +282,7 @@ func (m *Model) buildGraphOn(tape *ad.Tape, b *nn.Binder, sys *atoms.System, pai
 	}
 	eNet := tape.WeightedSumAll(ePair, sigma)
 
-	return graph{tape: tape, binder: b, rvec: rvec, energy: eNet, pairE: ePair, latent: h, numReal: pairs.NumReal}
+	return &graph{tape: tape, binder: b, rvec: rvec, energy: eNet, pairE: ePair, latent: h, numReal: pairs.NumReal}
 }
 
 // Result holds one evaluation of the potential.
@@ -309,35 +300,30 @@ func (m *Model) Evaluate(sys *atoms.System) *Result {
 }
 
 // EvaluatePairs computes energy and forces with a caller-provided pair list
-// (MD reuses padded lists across steps).
+// on the autodiff tape — the reference implementation the compiled plans
+// are tested against (TestCompiledMatchesTape): the same per-pair rows and
+// pair energies as EvaluateRowsInto, through the same ReduceRows, so it
+// agrees with EvaluatePairsInto bit for bit.
 func (m *Model) EvaluatePairs(sys *atoms.System, pairs *neighbor.Pairs) *Result {
+	rows, pairE := m.tapeRows(sys, pairs)
+	res := &Result{PairWork: pairs.Len(), Forces: make([][3]float64, sys.NumAtoms())}
+	res.Energy = ReduceRows(m, sys.Species, pairs, rows, pairE, res.Forces)
+	return res
+}
+
+// tapeRows is EvaluateRowsInto on a fresh tape: forward, backward, harvest
+// the pair-vector adjoints and sigma-weighted pair energies, fold in each
+// pair's ZBL share.
+func (m *Model) tapeRows(sys *atoms.System, pairs *neighbor.Pairs) ([][3]float64, []float64) {
 	g := m.buildGraph(sys, pairs, false)
 	g.tape.Backward(g.energy)
-	res := &Result{PairWork: pairs.Len()}
-	res.Energy = g.energy.T.Data[0]
-	// Per-species shifts.
-	for _, sp := range sys.Species {
-		res.Energy += m.EnergyShift[m.Idx.Index(sp)]
-	}
-	// Assemble forces from pair-vector gradients: rvec_z = r_j - r_i.
-	res.Forces = make([][3]float64, sys.NumAtoms())
-	grad := g.rvec.Grad()
-	for zi := 0; zi < pairs.NumReal; zi++ {
-		i, j := pairs.I[zi], pairs.J[zi]
-		row := grad.Row(zi)
-		for k := 0; k < 3; k++ {
-			res.Forces[i][k] += row[k]
-			res.Forces[j][k] -= row[k]
-		}
-	}
+	rows := make([][3]float64, pairs.Len())
+	pairE := make([]float64, pairs.Len())
+	harvestRows(g.rvec.Grad(), g.pairE.T.Data, rows, pairE, m.EnergyScale)
 	if m.Cfg.ZBL {
-		ezbl := addZBL(sys, pairs, res.Forces)
-		res.Energy += ezbl
+		addZBLRows(sys, pairs, rows, pairE)
 	}
-	if m.Cfg.Precision.Final != tensor.F64 {
-		res.Energy = m.Cfg.Precision.Final.Round(res.Energy)
-	}
-	return res
+	return rows, pairE
 }
 
 // EnergyGradients runs a training-mode forward/backward at (optionally
@@ -405,34 +391,19 @@ func (m *Model) AtomicEnergies(sys *atoms.System) []float64 {
 // makes this identity hold.
 func (m *Model) EnergyForcesCentered(sys *atoms.System, owned []bool) (float64, [][3]float64) {
 	pairs := neighbor.Build(sys, m.Cuts).FilterCenters(owned)
-	forces := make([][3]float64, sys.NumAtoms())
-	energy := 0.0
-	if pairs.NumReal > 0 {
-		g := m.buildGraph(sys, pairs, false)
-		g.tape.Backward(g.energy)
-		energy = g.energy.T.Data[0]
-		grad := g.rvec.Grad()
-		for z := 0; z < pairs.NumReal; z++ {
-			i, j := pairs.I[z], pairs.J[z]
-			row := grad.Row(z)
-			for k := 0; k < 3; k++ {
-				forces[i][k] += row[k]
-				forces[j][k] -= row[k]
-			}
-		}
-		if m.Cfg.ZBL {
-			energy += addZBL(sys, pairs, forces)
-		}
-	}
+	var ownedSpecies []units.Species
 	for i, sp := range sys.Species {
 		if owned[i] {
-			energy += m.EnergyShift[m.Idx.Index(sp)]
+			ownedSpecies = append(ownedSpecies, sp)
 		}
 	}
-	if m.Cfg.Precision.Final != tensor.F64 {
-		energy = m.Cfg.Precision.Final.Round(energy)
+	forces := make([][3]float64, sys.NumAtoms())
+	var rows [][3]float64
+	var pairE []float64
+	if pairs.NumReal > 0 {
+		rows, pairE = m.tapeRows(sys, pairs)
 	}
-	return energy, forces
+	return ReduceRows(m, ownedSpecies, pairs, rows, pairE, forces), forces
 }
 
 // SetScaleShift installs the energy normalization: scale multiplies the

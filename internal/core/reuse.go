@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/atoms"
 	"repro/internal/neighbor"
-	"repro/internal/tensor"
 )
 
 // reuseBucket quantizes an active-pair count to a power-of-two padding
@@ -48,11 +47,11 @@ func skinExceeded(skin float64, pos, ref [][3]float64) bool {
 // Active pairs are gathered — in list order, so each active center's pair
 // group stays contiguous and complete — into a compacted sub-list, padded
 // to a power-of-two bucket for plan-cache stability, replayed serially
-// through the same compiled-plan (or tape) machinery as a full evaluation,
+// through the same compiled-plan machinery as a full evaluation,
 // and scattered back into their canonical slots. Because Allegro's
 // per-center sub-graphs are strictly local, the compact replay's rows are
 // bitwise identical to the rows a full evaluation would produce for those
-// pairs; combined with the caller's canonical slot-order reduction this
+// pairs; combined with the caller's pair-order reduction (ReduceRows) this
 // keeps the reuse path deterministic.
 //
 // Returns the number of real active pairs recomputed. rows and pairE must
@@ -97,9 +96,6 @@ func (m *Model) EvaluateActiveRowsInto(es *EvalScratch, sys *atoms.System, pairs
 	es.actRows = es.actRows[:total]
 	es.actPairE = es.actPairE[:total]
 
-	es.evalCompiled = es.compiledOn(m)
-	es.plans.refKernels = es.RefKernels
-	es.plans.profile = es.Profile
 	es.serialRows(m, sys, ap, es.actRows, es.actPairE)
 	if m.Cfg.ZBL {
 		addZBLRows(sys, ap, es.actRows, es.actPairE)
@@ -217,7 +213,8 @@ func (e *ReuseEvaluator) EnergyForcesInto(sys *atoms.System, forces [][3]float64
 	} else {
 		e.incremental(sys)
 	}
-	return e.reduce(sys, forces)
+	// The reduction always runs over the full cached store in pair order.
+	return ReduceRows(e.Model, sys.Species, &e.pairs, e.rows, e.pairE, forces)
 }
 
 // fullEvaluate rebuilds the skin pair list, pads it to the running-maximum
@@ -333,35 +330,6 @@ func (e *ReuseEvaluator) refreshAll(sys *atoms.System) {
 	e.lastWork = e.pairs.Len()
 }
 
-// reduce folds the cached contribution store into per-atom forces and the
-// total energy: canonical slot order, then per-species shifts and
-// final-precision rounding — the same ladder as the full engines.
-func (e *ReuseEvaluator) reduce(sys *atoms.System, forces [][3]float64) float64 {
-	for i := range forces {
-		forces[i] = [3]float64{}
-	}
-	energy := 0.0
-	for z := 0; z < e.pairs.NumReal; z++ {
-		i, j := e.pairs.I[z], e.pairs.J[z]
-		row := e.rows[z]
-		forces[i][0] += row[0]
-		forces[i][1] += row[1]
-		forces[i][2] += row[2]
-		forces[j][0] -= row[0]
-		forces[j][1] -= row[1]
-		forces[j][2] -= row[2]
-		energy += e.pairE[z]
-	}
-	m := e.Model
-	for _, sp := range sys.Species {
-		energy += m.EnergyShift[m.Idx.Index(sp)]
-	}
-	if m.Cfg.Precision.Final != tensor.F64 {
-		energy = m.Cfg.Precision.Final.Round(energy)
-	}
-	return energy
-}
-
 // EnergyForces implements md.Potential (fresh slices; hot loops use
 // EnergyForcesInto).
 func (e *ReuseEvaluator) EnergyForces(sys *atoms.System) (float64, [][3]float64) {
@@ -373,14 +341,6 @@ func (e *ReuseEvaluator) EnergyForces(sys *atoms.System) (float64, [][3]float64)
 // PairWork reports the padded pair count the last call actually evaluated
 // (0 when everything came from cache).
 func (e *ReuseEvaluator) PairWork() int { return e.lastWork }
-
-// ExecMode names the execution mode of the underlying evaluations.
-func (e *ReuseEvaluator) ExecMode() string {
-	if e.Scratch.compiledOn(e.Model) {
-		return "compiled"
-	}
-	return "tape"
-}
 
 // Close releases the worker pools.
 func (e *ReuseEvaluator) Close() { e.Scratch.Close() }

@@ -3,23 +3,22 @@ package core
 import (
 	"math"
 
-	"repro/internal/ad"
 	"repro/internal/atoms"
 	"repro/internal/neighbor"
-	"repro/internal/nn"
 	"repro/internal/par"
 	"repro/internal/plan"
 	"repro/internal/tensor"
+	"repro/internal/units"
 )
 
-// EvalScratch is the reusable buffer arena of the steady-state force path:
-// the neighbor builder and pair list, the arena-backed autodiff tape, the
-// binder, the per-worker force shards, and the Result the evaluation writes
-// into. It is the caller-owned analogue of the stable allocation footprint
-// the paper obtains from padded inputs (Sec. V-C): after a warm-up
-// evaluation on a given system size, Model.EvaluateInto and
-// Model.EvaluatePairsInto recycle everything here and steady-state heap
-// traffic drops to the tape's fixed set of small node closures.
+// EvalScratch is the reusable buffer set of the steady-state force path:
+// the neighbor builder and pair list, the compiled-plan caches of the serial
+// context and of every chunk worker, the per-pair row buffers, and the
+// Result the evaluation writes into. It is the caller-owned analogue of the
+// stable allocation footprint the paper obtains from padded inputs
+// (Sec. V-C): after a warm-up evaluation on a given shape,
+// Model.EvaluateInto and Model.EvaluatePairsInto recycle everything here
+// and steady-state heap traffic is zero.
 //
 // Ownership contract: an EvalScratch belongs to exactly one evaluation loop
 // (one MD simulation, one benchmark, one calibration run). It must not be
@@ -33,16 +32,6 @@ type EvalScratch struct {
 	// set it to their per-rank budget so that ranks x workers stays
 	// bounded instead of every rank spinning up a full-size pool.
 	Workers int
-	// Compiled overrides the execution mode for this scratch; CompiledAuto
-	// defers to the model's Config.Compiled (which itself defaults to the
-	// compiled record-once/replay plans).
-	Compiled CompiledMode
-	// RefKernels replays compiled plans with the pre-kern reference kernels
-	// (unpacked matmuls, unblocked TP contractions) instead of the
-	// register-blocked microkernel layer. Outputs are bit-identical either
-	// way; the toggle exists for same-machine A/B kernel benchmarking
-	// (BENCH_simd) and as a diagnostic oracle.
-	RefKernels bool
 	// Profile, when non-nil, accumulates a per-kernel-class wall-time
 	// breakdown of every compiled replay this scratch runs serially (the
 	// allegro-bench -kernels instrumentation). Parallel chunk workers do not
@@ -52,44 +41,25 @@ type EvalScratch struct {
 
 	builder neighbor.Builder
 	pairs   neighbor.Pairs
-	arena   *tensor.Arena
-	tape    *ad.Tape
-	binder  *nn.Binder
 	res     Result
 	pool    par.Pool
 	workers int
+	plans   planCache // the serial context's compiled plans
 
-	// Compiled-mode state: the serial context's plan cache and the mode
-	// resolved for the current dispatch (read by the hoisted worker fns).
-	plans        planCache
-	evalCompiled bool
+	// Per-pair outputs of EvaluatePairsInto, reduced by ReduceRows.
+	rows  [][3]float64
+	pairE []float64
 
-	// Per-worker force shards and the per-dispatch state the hoisted job
-	// closures read (set before Run, cleared after).
-	shards    [][][3]float64
-	curPairs  *neighbor.Pairs
-	grad      *tensor.Tensor
-	forces    [][3]float64
-	chunk     int
-	atomChunk int
-	nShards   int
-	shardFn   func(int)
-	mergeFn   func(int)
-
-	// Per-worker sub-evaluations for the chunked-graph parallel path (each
-	// worker owns a full tape/arena/binder over its center-contiguous pair
-	// range).
-	workerScr []*workerEval
-	bounds    []int
-	evalModel *Model
-	evalSys   *atoms.System
-	evalFn    func(int)
-
-	// Row-harvest mode (EvaluateRowsInto): per-pair outputs written straight
-	// into caller buffers instead of being reduced to per-atom forces.
+	// Per-worker sub-evaluations of the chunked parallel path (each worker
+	// replays its own plan over a center-contiguous pair range) and the
+	// per-dispatch state the hoisted job closure reads (set before Run,
+	// cleared after).
+	workerScr  []*workerEval
+	bounds     []int
+	evalModel  *Model
+	evalSys    *atoms.System
 	rowsOut    [][3]float64
 	pairEOut   []float64
-	rowsScale  float64
 	evalRowsFn func(int)
 
 	// Partial-replay compaction scratch (EvaluateActiveRowsInto): the
@@ -104,42 +74,30 @@ type EvalScratch struct {
 
 // workerEval is one worker's private evaluation state: Allegro's strict
 // locality means the pairs centered on a set of atoms form an independent
-// sub-graph, so each worker runs the full forward/backward pass over its
-// center-contiguous chunk on its own arena-backed tape.
+// sub-graph, so each worker replays the full forward/backward pass over its
+// center-contiguous chunk on its own compiled plan.
 type workerEval struct {
-	arena  *tensor.Arena
-	tape   *ad.Tape
-	binder *nn.Binder
-	plans  planCache      // compiled-mode per-worker plan cache
-	sub    neighbor.Pairs // read-only view into the parent pair list
-	energy float64
+	plans planCache
+	sub   neighbor.Pairs // read-only view into the parent pair list
 }
 
 // NewEvalScratch returns an empty scratch; buffers grow on first use.
 func NewEvalScratch() *EvalScratch { return &EvalScratch{} }
 
-// Close releases the scratch's worker pools (neighbor build and force
-// reduction). The scratch remains usable; pools restart on demand.
+// Close releases the scratch's worker pools (neighbor build and chunked
+// evaluation). The scratch remains usable; pools restart on demand.
 func (es *EvalScratch) Close() {
 	es.builder.Close()
 	es.pool.Close()
 }
 
-// ArenaBytes reports the tensor-arena footprint (diagnostics/tests).
-func (es *EvalScratch) ArenaBytes() int {
-	if es.arena == nil {
-		return 0
-	}
-	return es.arena.Bytes()
-}
-
 // UsePlanRegistry binds the scratch (and every chunk worker it spawns) to a
-// shared cross-tenant plan pool: compiled-mode dispatches lease programs
-// from r instead of compiling privately, so one compilation serves every
-// evaluation context bound to the same registry. Leased programs stay with
-// the scratch — lock-free, allocation-free — until ReleasePlans hands them
-// back; callers serving independent requests release between requests.
-// Pass nil to detach (the scratch reverts to private compilation).
+// shared cross-tenant plan pool: dispatches lease programs from r instead of
+// compiling privately, so one compilation serves every evaluation context
+// bound to the same registry. Leased programs stay with the scratch —
+// lock-free, allocation-free — until ReleasePlans hands them back; callers
+// serving independent requests release between requests. Pass nil to detach
+// (the scratch reverts to private compilation).
 func (es *EvalScratch) UsePlanRegistry(r *PlanRegistry) {
 	es.plans.releaseAll()
 	es.plans.shared = r
@@ -160,48 +118,14 @@ func (es *EvalScratch) ReleasePlans() {
 	}
 }
 
-// ensure binds the scratch to a model's precision scheme and worker count.
+// ensure resolves the scratch's worker count against the model's.
 func (es *EvalScratch) ensure(m *Model) {
-	if es.arena == nil {
-		es.arena = tensor.NewArena()
-	}
-	if es.tape == nil || es.tape.Compute != m.Cfg.Precision.Compute || es.tape.Store != m.Cfg.Precision.Weights {
-		es.tape = ad.NewTapeArena(m.Cfg.Precision.Compute, m.Cfg.Precision.Weights, es.arena)
-		es.binder = nn.NewBinder(es.tape, false)
-	}
 	req := m.Cfg.Workers
 	if es.Workers != 0 {
 		req = es.Workers
 	}
 	es.workers = par.Workers(req, 0)
 	es.builder.Workers = es.workers
-}
-
-// compiledOn resolves the execution mode for one dispatch: the scratch
-// override wins, then the model's Config, and Auto means compiled. Training
-// never comes through here (it builds tapes directly), so this only ever
-// picks between two bit-identical inference paths.
-func (es *EvalScratch) compiledOn(m *Model) bool {
-	mode := es.Compiled
-	if mode == CompiledAuto {
-		mode = m.Cfg.Compiled
-	}
-	return mode.Enabled()
-}
-
-// serialEval runs one full forward+backward over the pair list in the
-// serial context and returns the network energy plus the [Z,3] pair-vector
-// adjoint rows (compiled: the plan's force rows; tape: rvec.Grad()).
-func (es *EvalScratch) serialEval(m *Model, sys *atoms.System, pairs *neighbor.Pairs) (float64, *tensor.Tensor) {
-	if es.evalCompiled {
-		pg := es.plans.run(m, sys, pairs)
-		return pg.Energy(), pg.ForceRows()
-	}
-	es.tape.Reset()
-	es.binder.Reset(es.tape, false)
-	g := m.buildGraphOn(es.tape, es.binder, sys, pairs, false)
-	g.tape.Backward(g.energy)
-	return g.energy.T.Data[0], g.rvec.Grad()
 }
 
 // EvaluateInto computes energy and forces for sys, rebuilding the neighbor
@@ -218,104 +142,78 @@ func (m *Model) EvaluateInto(es *EvalScratch, sys *atoms.System) *Result {
 const minEvalPairsPerWorker = 64
 
 // EvaluatePairsInto computes energy and forces with a caller-provided pair
-// list on the scratch's recycled buffers. With more than one worker the
-// evaluation itself is parallel: the pair list is split at center-atom
-// boundaries (Allegro's strict locality makes center-grouped pair chunks
-// independent sub-graphs — the identity the paper's domain decomposition
-// rests on) and each worker runs forward+backward over its chunk on a
-// private arena-backed tape; per-chunk energies and force shards merge in
-// fixed chunk order, so results are bitwise reproducible for a given
+// list on the scratch's recycled buffers: EvaluateRowsInto harvests the
+// per-pair rows and pair energies (chunked across workers), then ReduceRows
+// folds them in pair order. Per-pair rows do not depend on the chunk layout
+// and the reduction is serial, so results are bitwise identical for any
 // worker count. The returned Result points into the scratch.
 func (m *Model) EvaluatePairsInto(es *EvalScratch, sys *atoms.System, pairs *neighbor.Pairs) *Result {
-	es.ensure(m)
 	res := &es.res
 	res.PairWork = pairs.Len()
-	n := sys.NumAtoms()
-	if cap(res.Forces) < n {
+	if n := sys.NumAtoms(); cap(res.Forces) < n {
 		res.Forces = make([][3]float64, n)
-	}
-	res.Forces = res.Forces[:n]
-
-	es.evalCompiled = es.compiledOn(m)
-	es.plans.refKernels = es.RefKernels
-	es.plans.profile = es.Profile
-	nw := es.workers
-	if maxW := pairs.NumReal / minEvalPairsPerWorker; nw > maxW {
-		nw = maxW
-	}
-	if nw > 1 {
-		res.Energy = es.evaluateChunked(m, sys, pairs, nw)
 	} else {
-		energy, rows := es.serialEval(m, sys, pairs)
-		res.Energy = energy
-		es.assembleForces(pairs, rows, res.Forces)
+		res.Forces = res.Forces[:n]
 	}
-	for _, sp := range sys.Species {
-		res.Energy += m.EnergyShift[m.Idx.Index(sp)]
+	if z := pairs.Len(); cap(es.rows) < z {
+		es.rows = make([][3]float64, z)
+		es.pairE = make([]float64, z)
+	} else {
+		es.rows, es.pairE = es.rows[:z], es.pairE[:z]
 	}
-	if m.Cfg.ZBL {
-		res.Energy += addZBL(sys, pairs, res.Forces)
-	}
-	if m.Cfg.Precision.Final != tensor.F64 {
-		res.Energy = m.Cfg.Precision.Final.Round(res.Energy)
-	}
+	m.EvaluateRowsInto(es, sys, pairs, es.rows, es.pairE)
+	res.Energy = ReduceRows(m, sys.Species, pairs, es.rows, es.pairE, res.Forces)
 	return res
 }
 
-// evaluateChunked is the parallel evaluation path: nw center-contiguous
-// pair chunks, one independent sub-graph per worker, deterministic merges.
-// It returns the summed network energy and writes merged forces into
-// es.res.Forces.
-func (es *EvalScratch) evaluateChunked(m *Model, sys *atoms.System, pairs *neighbor.Pairs, nw int) float64 {
-	es.computeBounds(pairs, nw)
-	nw = len(es.bounds) - 1 // boundary snapping may merge chunks
-	if nw <= 1 {
-		// Degenerate split (e.g. one giant center); fall back to serial.
-		energy, rows := es.serialEval(m, sys, pairs)
-		es.assembleForces(pairs, rows, es.res.Forces)
-		return energy
+// ReduceRows is the one reduction from per-pair outputs to an evaluation's
+// totals. Forces: rvec_z = r_j - r_i, so each real pair's row adds to its
+// center and subtracts from its neighbor, in pair order. Energy: the pair
+// energies summed in pair order, then the per-species shifts in atom order,
+// then the final-stage precision rounding. Every engine funnels through it,
+// which is what makes their answers the same bits.
+//
+// The domain runtime reduces forces itself — the same pair order, split per
+// atom for its interior/frontier pipeline — and passes nil pairs, rows and
+// forces to get only the energy ladder over its global pair-energy slots.
+func ReduceRows(m *Model, species []units.Species, pairs *neighbor.Pairs, rows [][3]float64, pairE []float64, forces [][3]float64) float64 {
+	if forces != nil {
+		clear(forces)
+		for z := 0; z < pairs.NumReal; z++ {
+			i, j := pairs.I[z], pairs.J[z]
+			row := rows[z]
+			forces[i][0] += row[0]
+			forces[i][1] += row[1]
+			forces[i][2] += row[2]
+			forces[j][0] -= row[0]
+			forces[j][1] -= row[1]
+			forces[j][2] -= row[2]
+		}
+		pairE = pairE[:pairs.NumReal]
 	}
-
-	es.prepareChunkWorkers(m, pairs, nw)
-	n := sys.NumAtoms()
-	es.growShards(nw, n)
-
-	es.evalModel, es.evalSys, es.curPairs = m, sys, pairs
-	es.nShards = nw
-	es.atomChunk = (n + nw - 1) / nw
-	if es.evalFn == nil {
-		es.evalFn = es.runWorkerEval
-		es.mergeFn = es.runMerge
-	}
-	es.forces = es.res.Forces
-	es.pool.Run(nw, es.evalFn)
-	es.pool.Run(nw, es.mergeFn)
-	es.evalModel, es.evalSys, es.curPairs, es.forces = nil, nil, nil, nil
-
 	energy := 0.0
-	for w := 0; w < nw; w++ {
-		energy += es.workerScr[w].energy
+	for _, pe := range pairE {
+		energy += pe
+	}
+	for _, sp := range species {
+		energy += m.EnergyShift[m.Idx.Index(sp)]
+	}
+	if m.Cfg.Precision.Final != tensor.F64 {
+		energy = m.Cfg.Precision.Final.Round(energy)
 	}
 	return energy
 }
 
-// prepareChunkWorkers sizes per-worker tapes/binders and carves the
+// prepareChunkWorkers sizes the per-worker plan caches and carves the
 // center-contiguous sub-views for the chunk boundaries in es.bounds.
-func (es *EvalScratch) prepareChunkWorkers(m *Model, pairs *neighbor.Pairs, nw int) {
+func (es *EvalScratch) prepareChunkWorkers(pairs *neighbor.Pairs, nw int) {
 	for len(es.workerScr) < nw {
-		ws := &workerEval{arena: tensor.NewArena()}
-		ws.tape = ad.NewTapeArena(m.Cfg.Precision.Compute, m.Cfg.Precision.Weights, ws.arena)
-		ws.binder = nn.NewBinder(ws.tape, false)
+		ws := &workerEval{}
 		ws.plans.shared = es.plans.shared // inherit the scratch's registry binding
 		es.workerScr = append(es.workerScr, ws)
 	}
 	for w := 0; w < nw; w++ {
 		ws := es.workerScr[w]
-		ws.plans.refKernels = es.RefKernels
-		if ws.tape.Compute != m.Cfg.Precision.Compute || ws.tape.Store != m.Cfg.Precision.Weights {
-			ws.tape = ad.NewTapeArena(m.Cfg.Precision.Compute, m.Cfg.Precision.Weights, ws.arena)
-			ws.binder = nn.NewBinder(ws.tape, false)
-		}
 		lo, hi := es.bounds[w], es.bounds[w+1]
 		ws.sub = neighbor.Pairs{
 			I: pairs.I[lo:hi], J: pairs.J[lo:hi], Vec: pairs.Vec[lo:hi],
@@ -360,44 +258,18 @@ func (es *EvalScratch) computeBounds(pairs *neighbor.Pairs, nw int) {
 	es.bounds = append(es.bounds, total)
 }
 
-// workerEvalPass runs one worker's sub-graph forward+backward (compiled
-// replay or tape, per the dispatch mode) and returns its adjoint rows.
-func (es *EvalScratch) workerEvalPass(ws *workerEval) *tensor.Tensor {
-	if es.evalCompiled {
-		pg := ws.plans.run(es.evalModel, es.evalSys, &ws.sub)
-		ws.energy = pg.Energy()
-		return pg.ForceRows()
-	}
-	ws.tape.Reset()
-	ws.binder.Reset(ws.tape, false)
-	g := es.evalModel.buildGraphOn(ws.tape, ws.binder, es.evalSys, &ws.sub, false)
-	ws.tape.Backward(g.energy)
-	ws.energy = g.energy.T.Data[0]
-	return g.rvec.Grad()
-}
-
-// runWorkerEval runs one worker's sub-graph forward+backward and fills its
-// force shard.
-func (es *EvalScratch) runWorkerEval(w int) {
-	ws := es.workerScr[w]
-	rows := es.workerEvalPass(ws)
-	sh := es.shards[w]
-	for i := range sh {
-		sh[i] = [3]float64{}
-	}
-	accumPairRange(&ws.sub, rows, sh, 0, ws.sub.NumReal)
-}
-
-// EvaluateRowsInto computes the raw per-pair outputs of one evaluation
-// instead of reducing them to per-atom forces: rows[z] receives the force
-// row dE/d rvec_z (to be added to the center atom and subtracted from the
-// neighbor) and pairE[z] the sigma-weighted pair energy, both including the
-// pair's ZBL share when the model enables it. Rows are what the domain
-// runtime's ranks exchange: each rank evaluates its local pair list here —
-// chunked-parallel on arena-backed tapes, exactly like EvaluatePairsInto —
-// and hands the rows to a deterministic, canonically ordered global
-// reduction. Per-species energy shifts and final-precision rounding are
-// atom- and total-level terms and are left to that reducer.
+// EvaluateRowsInto computes the raw per-pair outputs of one evaluation:
+// rows[z] receives the force row dE/d rvec_z (to be added to the center atom
+// and subtracted from the neighbor) and pairE[z] the sigma-weighted pair
+// energy, both including the pair's ZBL share when the model enables it.
+// With more than one worker the pair list is split at center-atom
+// boundaries (Allegro's strict locality makes center-grouped pair chunks
+// independent sub-graphs — the identity the paper's domain decomposition
+// rests on) and each worker replays forward+backward over its chunk on a
+// private compiled plan, writing its disjoint range of the buffers. Rows
+// are what ReduceRows folds and what the domain runtime's ranks exchange;
+// per-species energy shifts and final-precision rounding are atom- and
+// total-level terms and are left to the reducer.
 //
 // rows and pairE must have pairs.Len() entries; both are fully overwritten.
 func (m *Model) EvaluateRowsInto(es *EvalScratch, sys *atoms.System, pairs *neighbor.Pairs, rows [][3]float64, pairE []float64) {
@@ -405,23 +277,18 @@ func (m *Model) EvaluateRowsInto(es *EvalScratch, sys *atoms.System, pairs *neig
 	if len(rows) != pairs.Len() || len(pairE) != pairs.Len() {
 		panic("core: EvaluateRowsInto buffer length mismatch")
 	}
-	es.evalCompiled = es.compiledOn(m)
-	es.plans.refKernels = es.RefKernels
-	es.plans.profile = es.Profile
 	nw := es.workers
 	if maxW := pairs.NumReal / minEvalPairsPerWorker; nw > maxW {
 		nw = maxW
 	}
-	chunked := false
 	if nw > 1 {
 		es.computeBounds(pairs, nw)
 		nw = len(es.bounds) - 1 // boundary snapping may merge chunks
-		chunked = nw > 1
 	}
-	if chunked {
-		es.prepareChunkWorkers(m, pairs, nw)
+	if nw > 1 {
+		es.prepareChunkWorkers(pairs, nw)
 		es.evalModel, es.evalSys = m, sys
-		es.rowsOut, es.pairEOut, es.rowsScale = rows, pairE, m.EnergyScale
+		es.rowsOut, es.pairEOut = rows, pairE
 		if es.evalRowsFn == nil {
 			es.evalRowsFn = es.runWorkerEvalRows
 		}
@@ -436,151 +303,32 @@ func (m *Model) EvaluateRowsInto(es *EvalScratch, sys *atoms.System, pairs *neig
 	}
 }
 
-// serialRows runs one forward+backward over the pair list on the scratch's
-// serial context and harvests the rows and sigma-weighted pair energies (no
-// ZBL, no shifts — callers layer those). The dispatch mode (es.evalCompiled
-// and the plan-cache flags) must already be resolved.
+// serialRows replays one forward+backward over the pair list on the
+// scratch's serial context and harvests the rows and sigma-weighted pair
+// energies (no ZBL, no shifts — callers layer those).
 func (es *EvalScratch) serialRows(m *Model, sys *atoms.System, pairs *neighbor.Pairs, rows [][3]float64, pairE []float64) {
-	if es.evalCompiled {
-		pg := es.plans.run(m, sys, pairs)
-		harvestRows(pg.ForceRows(), pg.PairEnergies(), 0, pairs.Len(), rows, pairE, m.EnergyScale)
-		return
-	}
-	es.tape.Reset()
-	es.binder.Reset(es.tape, false)
-	g := m.buildGraphOn(es.tape, es.binder, sys, pairs, false)
-	g.tape.Backward(g.energy)
-	harvestRows(g.rvec.Grad(), g.pairE.T.Data, 0, pairs.Len(), rows, pairE, m.EnergyScale)
+	es.plans.profile = es.Profile
+	pg := es.plans.run(m, sys, pairs)
+	harvestRows(pg.ForceRows(), pg.PairEnergies(), rows, pairE, m.EnergyScale)
 }
 
-// runWorkerEvalRows runs one worker's sub-graph forward+backward and writes
-// its pair range of the caller's row buffers (ranges are disjoint, so no
-// merge phase is needed).
+// runWorkerEvalRows replays one worker's sub-graph forward+backward and
+// writes its pair range of the caller's row buffers (ranges are disjoint, so
+// no merge phase is needed).
 func (es *EvalScratch) runWorkerEvalRows(w int) {
 	ws := es.workerScr[w]
-	lo := es.bounds[w]
-	if es.evalCompiled {
-		pg := ws.plans.run(es.evalModel, es.evalSys, &ws.sub)
-		harvestRows(pg.ForceRows(), pg.PairEnergies(), lo, lo+ws.sub.Len(), es.rowsOut, es.pairEOut, es.rowsScale)
-		return
-	}
-	ws.tape.Reset()
-	ws.binder.Reset(ws.tape, false)
-	g := es.evalModel.buildGraphOn(ws.tape, ws.binder, es.evalSys, &ws.sub, false)
-	ws.tape.Backward(g.energy)
-	harvestRows(g.rvec.Grad(), g.pairE.T.Data, lo, lo+ws.sub.Len(), es.rowsOut, es.pairEOut, es.rowsScale)
+	lo, hi := es.bounds[w], es.bounds[w+1]
+	pg := ws.plans.run(es.evalModel, es.evalSys, &ws.sub)
+	harvestRows(pg.ForceRows(), pg.PairEnergies(), es.rowsOut[lo:hi], es.pairEOut[lo:hi], es.evalModel.EnergyScale)
 }
 
 // harvestRows copies one sub-evaluation's pair-vector adjoints and
-// sigma-weighted pair energies into the global row buffers at [lo,hi).
-func harvestRows(grad *tensor.Tensor, pe []float64, lo, hi int, rows [][3]float64, pairE []float64, scale float64) {
-	for z := lo; z < hi; z++ {
-		row := grad.Row(z - lo)
-		rows[z] = [3]float64{row[0], row[1], row[2]}
-		pairE[z] = scale * pe[z-lo]
-	}
-}
-
-// minPairsPerWorker keeps the sharded reduction from dispatching workers on
-// trivially small pair lists.
-const minPairsPerWorker = 512
-
-// assembleForces turns per-pair displacement gradients into per-atom forces
-// (rvec_z = r_j - r_i, so the gradient row adds to atom i and subtracts
-// from atom j). With more than one worker the pair range is sharded: each
-// worker accumulates into a private full-length force shard, then the atom
-// range is sharded and each worker sums the shards for its atoms in fixed
-// shard order — deterministic for a given worker count, and allocation-free
-// once the shards are warm.
-func (es *EvalScratch) assembleForces(pairs *neighbor.Pairs, grad *tensor.Tensor, forces [][3]float64) {
-	nz := pairs.NumReal
-	nw := es.workers
-	if maxW := nz / minPairsPerWorker; nw > maxW {
-		nw = maxW
-	}
-	if nw <= 1 {
-		for i := range forces {
-			forces[i] = [3]float64{}
-		}
-		accumPairRange(pairs, grad, forces, 0, nz)
-		return
-	}
-	n := len(forces)
-	es.growShards(nw, n)
-	es.curPairs, es.grad, es.forces = pairs, grad, forces
-	es.nShards = nw
-	es.chunk = (nz + nw - 1) / nw
-	es.atomChunk = (n + nw - 1) / nw
-	if es.shardFn == nil {
-		es.shardFn = es.runShard
-		es.mergeFn = es.runMerge
-	}
-	es.pool.Run(nw, es.shardFn)
-	es.pool.Run(nw, es.mergeFn)
-	es.curPairs, es.grad, es.forces = nil, nil, nil
-}
-
-// growShards sizes nw force shards of n atoms each, reusing capacity.
-func (es *EvalScratch) growShards(nw, n int) {
-	if cap(es.shards) < nw {
-		grown := make([][][3]float64, nw)
-		copy(grown, es.shards)
-		es.shards = grown
-	}
-	es.shards = es.shards[:nw]
-	for w := range es.shards {
-		if cap(es.shards[w]) < n {
-			es.shards[w] = make([][3]float64, n)
-		}
-		es.shards[w] = es.shards[w][:n]
-	}
-}
-
-// runShard zeroes one worker's force shard and accumulates its pair range.
-func (es *EvalScratch) runShard(w int) {
-	sh := es.shards[w]
-	for i := range sh {
-		sh[i] = [3]float64{}
-	}
-	lo := w * es.chunk
-	hi := lo + es.chunk
-	if hi > es.curPairs.NumReal {
-		hi = es.curPairs.NumReal
-	}
-	accumPairRange(es.curPairs, es.grad, sh, lo, hi)
-}
-
-// runMerge sums the shards for one worker's atom range in fixed shard
-// order (the deterministic reduction).
-func (es *EvalScratch) runMerge(w int) {
-	lo := w * es.atomChunk
-	hi := lo + es.atomChunk
-	if hi > len(es.forces) {
-		hi = len(es.forces)
-	}
-	for i := lo; i < hi; i++ {
-		var f [3]float64
-		for s := 0; s < es.nShards; s++ {
-			sh := es.shards[s]
-			f[0] += sh[i][0]
-			f[1] += sh[i][1]
-			f[2] += sh[i][2]
-		}
-		es.forces[i] = f
-	}
-}
-
-// accumPairRange is the serial inner loop of the force reduction.
-func accumPairRange(pairs *neighbor.Pairs, grad *tensor.Tensor, forces [][3]float64, lo, hi int) {
-	for z := lo; z < hi; z++ {
-		i, j := pairs.I[z], pairs.J[z]
+// sigma-weighted pair energies into its range of the row buffers.
+func harvestRows(grad *tensor.Tensor, pe []float64, rows [][3]float64, pairE []float64, scale float64) {
+	for z := range rows {
 		row := grad.Row(z)
-		forces[i][0] += row[0]
-		forces[i][1] += row[1]
-		forces[i][2] += row[2]
-		forces[j][0] -= row[0]
-		forces[j][1] -= row[1]
-		forces[j][2] -= row[2]
+		rows[z] = [3]float64{row[0], row[1], row[2]}
+		pairE[z] = scale * pe[z]
 	}
 }
 
@@ -590,7 +338,7 @@ func accumPairRange(pairs *neighbor.Pairs, grad *tensor.Tensor, forces [][3]floa
 // buffers. The pair list is padded to the running maximum of
 // ceil(PadFactor * real pairs), so input shapes are constant from step to
 // step once equilibrated — exactly the paper's 5% fake-pair padding trick
-// (Sec. V-C, Fig. 5), which here keeps the arena layout frozen.
+// (Sec. V-C, Fig. 5), which here keeps the compiled plan's shape frozen.
 //
 // An Evaluator (like its scratch) serves one simulation loop at a time; the
 // underlying Model stays read-only and may be shared across Evaluators.
@@ -644,16 +392,6 @@ func (e *Evaluator) EnergyForcesInto(sys *atoms.System, forces [][3]float64) flo
 
 // PairWork reports the padded pair count of the last evaluation.
 func (e *Evaluator) PairWork() int { return e.Scratch.res.PairWork }
-
-// ExecMode names the execution mode of this evaluator's force calls
-// ("compiled" or "tape") — recorded by perfmodel measurements so cluster
-// calibrations never mix anchors across modes.
-func (e *Evaluator) ExecMode() string {
-	if e.Scratch.compiledOn(e.Model) {
-		return "compiled"
-	}
-	return "tape"
-}
 
 // Close releases the evaluator's worker pools.
 func (e *Evaluator) Close() { e.Scratch.Close() }

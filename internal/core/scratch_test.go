@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -9,7 +9,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/md"
 	"repro/internal/neighbor"
-	"repro/internal/par"
 	"repro/internal/units"
 )
 
@@ -26,6 +25,21 @@ func testModel(t testing.TB, workers int) *Model {
 
 func testWater(seed uint64) *atoms.System {
 	return data.WaterBox(rand.New(rand.NewPCG(seed, 1)), 2, 2, 2)
+}
+
+// sameBits fails the test unless energy and every force component are
+// exactly equal.
+func sameBits(t *testing.T, what string, gotE, wantE float64, got, want [][3]float64) {
+	t.Helper()
+	if gotE != wantE {
+		t.Errorf("%s: energy %.17g vs %.17g", what, gotE, wantE)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: atom %d force %v vs %v", what, i, got[i], want[i])
+			return
+		}
+	}
 }
 
 // TestEvaluateIntoMatchesEvaluate checks the scratch path against the
@@ -50,8 +64,7 @@ func TestEvaluateIntoMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestEvaluateIntoReuse checks that repeated scratch evaluations are stable
-// and that the arena stops growing after warm-up.
+// TestEvaluateIntoReuse checks that repeated scratch evaluations are stable.
 func TestEvaluateIntoReuse(t *testing.T) {
 	m := testModel(t, 2)
 	sys := testWater(4)
@@ -60,7 +73,6 @@ func TestEvaluateIntoReuse(t *testing.T) {
 	first := m.EvaluateInto(es, sys)
 	e0 := first.Energy
 	f0 := append([][3]float64(nil), first.Forces...)
-	warm := es.ArenaBytes()
 	for it := 0; it < 5; it++ {
 		r := m.EvaluateInto(es, sys)
 		if r.Energy != e0 {
@@ -72,16 +84,13 @@ func TestEvaluateIntoReuse(t *testing.T) {
 			}
 		}
 	}
-	if es.ArenaBytes() != warm {
-		t.Fatalf("arena grew after warm-up: %d -> %d bytes", warm, es.ArenaBytes())
-	}
 }
 
-// TestShardedForceReductionDeterminism is the determinism test of the
-// sharded force reduction: for a fixed worker count results are bitwise
-// reproducible across fresh scratches, and the sharded sum agrees with the
-// serial reduction to roundoff.
-func TestShardedForceReductionDeterminism(t *testing.T) {
+// TestEvaluateIntoDeterminismAcrossWorkers is the determinism test of the
+// full scratch path (parallel neighbor build + chunked evaluation + the one
+// pair-order reduction): results are bitwise reproducible across fresh
+// scratches and bitwise equal to the single-worker evaluation.
+func TestEvaluateIntoDeterminismAcrossWorkers(t *testing.T) {
 	sys := testWater(5)
 
 	mSerial := testModel(t, 1)
@@ -93,21 +102,8 @@ func TestShardedForceReductionDeterminism(t *testing.T) {
 	defer esB.Close()
 	a := mPar.EvaluateInto(esA, sys)
 	b := mPar.EvaluateInto(esB, sys)
-	for i := range a.Forces {
-		if a.Forces[i] != b.Forces[i] {
-			t.Fatalf("workers=4 not reproducible at atom %d: %v vs %v", i, a.Forces[i], b.Forces[i])
-		}
-	}
-	if a.Energy != b.Energy {
-		t.Fatalf("workers=4 energy not reproducible")
-	}
-	for i := range a.Forces {
-		for k := 0; k < 3; k++ {
-			if d := math.Abs(a.Forces[i][k] - serial.Forces[i][k]); d > 1e-10 {
-				t.Fatalf("atom %d component %d: sharded %v vs serial %v", i, k, a.Forces[i], serial.Forces[i])
-			}
-		}
-	}
+	sameBits(t, "workers=4, fresh scratch", b.Energy, a.Energy, b.Forces, a.Forces)
+	sameBits(t, "workers=4 vs workers=1", a.Energy, serial.Energy, a.Forces, serial.Forces)
 }
 
 // TestEvaluatorPaddingNeutral checks that fake-pair padding changes neither
@@ -156,7 +152,7 @@ func TestEvaluatorPadToRunningMax(t *testing.T) {
 }
 
 // TestSimStepDeterminismParallel runs the full MD step (parallel neighbor
-// build + sharded force reduction) twice from identical initial conditions
+// build + chunked evaluation) twice from identical initial conditions
 // and requires bitwise-identical trajectories.
 func TestSimStepDeterminismParallel(t *testing.T) {
 	run := func() *md.Sim {
@@ -181,10 +177,9 @@ func TestSimStepDeterminismParallel(t *testing.T) {
 	}
 }
 
-// TestEvaluatorSteadyStateAllocs bounds the steady-state allocation rate of
-// the full force call: all tensor storage is arena-recycled, so what is
-// left is the tape's fixed set of per-node closures — independent of
-// system size and far below one allocation per pair.
+// TestEvaluatorSteadyStateAllocs pins the steady-state allocation rate of
+// the full force call on all cores — neighbor build, chunked plan replay,
+// reduction — to zero: every buffer is recycled once the shape is warm.
 func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 	m := testModel(t, 0) // all cores
 	sys := testWater(10)
@@ -192,58 +187,62 @@ func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 	defer e.Close()
 	forces := make([][3]float64, sys.NumAtoms())
 	for i := 0; i < 3; i++ {
-		e.EnergyForcesInto(sys, forces) // warm up arena and pools
+		e.EnergyForcesInto(sys, forces) // warm up plans and pools
 	}
-	allocs := testing.AllocsPerRun(10, func() {
+	if allocs := testing.AllocsPerRun(10, func() {
 		e.EnergyForcesInto(sys, forces)
-	})
-	pairs := neighbor.Build(sys, m.Cuts)
-	// ~100 fixed small allocations remain per worker sub-graph (one
-	// backward closure per tape node); everything proportional to system
-	// size is arena-recycled, so the bound scales with the resolved chunk
-	// count, not with pairs — a regression back to per-pair tensor
-	// allocation (thousands per call) trips it immediately.
-	nw := par.Workers(0, pairs.NumReal/minEvalPairsPerWorker)
-	limit := 170.0 * float64(nw)
-	if allocs > limit {
-		t.Errorf("steady-state force call allocates %.0f allocs/op (pairs=%d, chunks=%d), want <= %.0f",
-			allocs, pairs.NumReal, nw, limit)
+	}); allocs != 0 {
+		t.Errorf("steady-state force call allocates %.0f allocs/op, want 0", allocs)
 	}
 }
 
-// TestChunkedEvaluationExact checks the parallel chunked-graph evaluation
-// (with padding, which lands in the tail chunk) against the serial path:
-// energies agree to roundoff, forces to 1e-10, across worker counts.
-func TestChunkedEvaluationExact(t *testing.T) {
+// TestChunkedEvaluationBitwiseAcrossWorkers checks the chunked parallel
+// evaluation against the single-worker one and against the tape oracle:
+// energy and every force component are exactly equal for every worker
+// count, with and without padding (which lands in the tail chunk), with and
+// without the ZBL core, at exact and production precision.
+func TestChunkedEvaluationBitwiseAcrossWorkers(t *testing.T) {
 	sys := testWater(12)
-	want := testModel(t, 1).Evaluate(sys)
-	for _, workers := range []int{2, 3, 5, 8} {
-		m := testModel(t, workers)
-		e := NewEvaluator(m)
-		e.PadFactor = 1.10
-		forces := make([][3]float64, sys.NumAtoms())
-		energy := e.EnergyForcesInto(sys, forces)
-		if d := math.Abs(energy - want.Energy); d > 1e-9*math.Abs(want.Energy)+1e-12 {
-			t.Errorf("workers=%d: energy %.17g vs serial %.17g", workers, energy, want.Energy)
-		}
-		for i := range forces {
-			for k := 0; k < 3; k++ {
-				if d := math.Abs(forces[i][k] - want.Forces[i][k]); d > 1e-10 {
-					t.Errorf("workers=%d atom %d: force %v vs %v", workers, i, forces[i], want.Forces[i])
-					break
+	for _, pc := range []PrecisionConfig{ExactPrecision(), ProductionPrecision()} {
+		for _, zbl := range []bool{true, false} {
+			cfg := DefaultConfig([]units.Species{units.H, units.O})
+			cfg.Precision = pc
+			cfg.ZBL = zbl
+			m, err := New(cfg, nil, rand.New(rand.NewPCG(11, 13)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetScaleShift(1.25, []float64{-0.5, -1.75})
+			oracle := m.Evaluate(sys)
+			for _, pad := range []float64{1, 1.10} {
+				var want [][3]float64
+				var wantE float64
+				for _, workers := range []int{1, 2, 3, 5, 8} {
+					what := fmt.Sprintf("%v zbl=%v pad=%g workers=%d", pc, zbl, pad, workers)
+					e := NewEvaluator(m)
+					e.Scratch.Workers = workers
+					e.PadFactor = pad
+					forces := make([][3]float64, sys.NumAtoms())
+					energy := e.EnergyForcesInto(sys, forces)
+					e.Close()
+					if workers == 1 {
+						want, wantE = forces, energy
+						sameBits(t, what+" vs tape oracle", energy, oracle.Energy, forces, oracle.Forces)
+					}
+					sameBits(t, what+" vs workers=1", energy, wantE, forces, want)
 				}
 			}
 		}
-		e.Close()
 	}
 }
 
-// TestEvaluateRowsIntoMatchesForces checks the row-level entry point (the
-// domain runtime's rank evaluation): reducing rows[z] (+center, -neighbor)
-// plus pair energies, species shifts and final rounding must reproduce
-// EvaluatePairsInto bit for bit — serial and chunked-parallel alike, since
-// per-pair rows are independent of the chunk layout.
-func TestEvaluateRowsIntoMatchesForces(t *testing.T) {
+// TestEvaluateRowsIntoReducesToForces checks the row-level entry point (the
+// domain runtime's rank evaluation) against a hand-written pair-order
+// reduction: rows[z] (+center, -neighbor) plus pair energies and species
+// shifts must reproduce EvaluatePairsInto bit for bit — serial and
+// chunked-parallel alike, since per-pair rows are independent of the chunk
+// layout.
+func TestEvaluateRowsIntoReducesToForces(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		m := testModel(t, workers)
 		m.SetScaleShift(1.25, []float64{-0.5, -1.75})
@@ -276,14 +275,12 @@ func TestEvaluateRowsIntoMatchesForces(t *testing.T) {
 		for _, sp := range sys.Species {
 			energy += m.EnergyShift[m.Idx.Index(sp)]
 		}
-		if math.Abs(energy-want.Energy) > 1e-10 {
+		if energy != want.Energy {
 			t.Fatalf("workers=%d: row energy %.17g vs %.17g", workers, energy, want.Energy)
 		}
 		for i := range forces {
-			for k := 0; k < 3; k++ {
-				if math.Abs(forces[i][k]-wantForces[i][k]) > 1e-10 {
-					t.Fatalf("workers=%d: row-reduced force mismatch at atom %d", workers, i)
-				}
+			if forces[i] != wantForces[i] {
+				t.Fatalf("workers=%d: row-reduced force mismatch at atom %d", workers, i)
 			}
 		}
 	}

@@ -66,7 +66,7 @@ type Stats struct {
 // decomposition described by opts: it constructs a Runtime, runs one step,
 // and tears it down, so the one-shot API shares the persistent code path
 // exactly. Steady-state loops should hold a Runtime (or use
-// allegro.NewDecomposedSim) instead.
+// allegro.NewSimulation with WithGrid) instead.
 func Evaluate(sys *atoms.System, m *core.Model, opts Options) (float64, [][3]float64, Stats, error) {
 	rt, err := NewRuntime(m, sys, RuntimeOptions{Grid: opts.Grid, Halo: opts.Halo})
 	if err != nil {
@@ -76,47 +76,6 @@ func Evaluate(sys *atoms.System, m *core.Model, opts Options) (float64, [][3]flo
 	e, forces := rt.EnergyForces(sys)
 	st := rt.Stats()
 	return e, forces, Stats{Energy: e, MaxOwned: st.MaxOwned, MaxGhosts: st.MaxGhosts, TotalGhost: st.TotalGhost}, nil
-}
-
-// Potential adapts a decomposed evaluation to the md.Potential interface.
-// It lazily constructs a Runtime on first use (rebuilding it if pointed at
-// a different system), so repeated force calls reuse the persistent rank
-// workers.
-//
-// Deprecated: construct the Runtime directly (NewRuntime, or
-// allegro.NewDecomposedSim for MD): it exposes the zero-allocation
-// md.InPlacePotential path, the Verlet skin, and Close. Potential cannot
-// release its rank workers deterministically.
-type Potential struct {
-	Pot  *core.Model
-	Opts Options
-
-	rt  *Runtime
-	sys *atoms.System
-}
-
-// EnergyForces evaluates through the decomposition. Errors (which indicate
-// a misconfigured grid, not a runtime condition) panic.
-func (p *Potential) EnergyForces(sys *atoms.System) (float64, [][3]float64) {
-	if p.rt == nil || p.sys != sys {
-		if p.rt != nil {
-			p.rt.Close()
-		}
-		rt, err := NewRuntime(p.Pot, sys, RuntimeOptions{Grid: p.Opts.Grid, Halo: p.Opts.Halo})
-		if err != nil {
-			panic("domain: " + err.Error())
-		}
-		p.rt, p.sys = rt, sys
-	}
-	return p.rt.EnergyForces(sys)
-}
-
-// Close releases the underlying runtime's rank workers, if any.
-func (p *Potential) Close() {
-	if p.rt != nil {
-		p.rt.Close()
-		p.rt, p.sys = nil, nil
-	}
 }
 
 // HaloVolumeFraction returns the analytic ratio of imported ghost volume to

@@ -219,7 +219,13 @@ func TestDecomposedMDMatchesSerialTrajectory(t *testing.T) {
 	serial := md.NewSim(sys.Clone(), m, 0.2)
 	serial.InitVelocities(100, rand.New(rand.NewPCG(13, 14)))
 
-	dec := md.NewSim(sys.Clone(), &Potential{Pot: m, Opts: Options{Grid: [3]int{2, 1, 1}, Halo: 3.0}}, 0.2)
+	decSys := sys.Clone()
+	rt, err := NewRuntime(m, decSys, RuntimeOptions{Grid: [3]int{2, 1, 1}, Halo: 3.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := md.NewDecomposedSim(decSys, rt, 0.2)
+	defer dec.Close()
 	dec.InitVelocities(100, rand.New(rand.NewPCG(13, 14)))
 
 	serial.Run(10)

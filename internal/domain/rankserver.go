@@ -125,8 +125,6 @@ func (s *RankServer) build(wire *remoteWire) error {
 	opts := RuntimeOptions{
 		Grid: wire.Grid, Skin: wire.Skin, Halo: halo,
 		WorkersPerRank: wire.Workers,
-		Compiled:       core.CompiledMode(wire.Compiled),
-		RefKernels:     wire.RefKernels,
 	}
 	if err := validateRuntime(sys, opts); err != nil {
 		return fmt.Errorf("rankd %d: %w", s.id, err)
@@ -173,8 +171,6 @@ func (s *RankServer) build(wire *remoteWire) error {
 	rk.builder.Workers = wpr
 	rk.builder.Skin = wire.Skin
 	rk.scratch.Workers = wpr
-	rk.scratch.Compiled = opts.Compiled
-	rk.scratch.RefKernels = opts.RefKernels
 	rk.ep = s.ep
 	rk.seen = make([]bool, nr)
 	rk.planBits = make([]uint8, nr)

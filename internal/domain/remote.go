@@ -17,7 +17,7 @@ import (
 // run in separate processes (allegro-rankd, each hosting one RankServer).
 // Everything rank-local travels as transport frames; everything global is
 // derived with the exact arithmetic of the in-process Runtime (shared
-// helpers: wrapPositions, skinTriggered, rankOfCell, reduceEnergySlots), so
+// helpers: wrapPositions, skinTriggered, rankOfCell, core.ReduceRows), so
 // a distributed trajectory is bit-identical to the in-process one.
 //
 // Protocol (driver is transport rank nranks; grid ranks are 0..nranks-1):
@@ -46,13 +46,11 @@ type RemoteOptions struct {
 	// processes serve it, and the transport world must hold one more
 	// endpoint (the driver, transport rank nranks).
 	Grid [3]int
-	// Skin, Halo, WorkersPerRank, Compiled, RefKernels mirror
-	// RuntimeOptions and are shipped to every rank process.
+	// Skin, Halo, WorkersPerRank mirror RuntimeOptions and are shipped to
+	// every rank process.
 	Skin           float64
 	Halo           float64
 	WorkersPerRank int
-	Compiled       core.CompiledMode
-	RefKernels     bool
 	// Transport carries the protocol. Required; its world must span
 	// nranks+1 endpoints. The RemoteRuntime takes ownership: Close closes
 	// it after the shutdown broadcast.
@@ -61,15 +59,13 @@ type RemoteOptions struct {
 
 // remoteWire is the JSON body of the KindConfig frame.
 type remoteWire struct {
-	Grid       [3]int          `json:"grid"`
-	Skin       float64         `json:"skin"`
-	Halo       float64         `json:"halo"`
-	Workers    int             `json:"workers"`
-	Compiled   int             `json:"compiled"`
-	RefKernels bool            `json:"ref_kernels"`
-	Cell       [3]float64      `json:"cell"`
-	Species    []units.Species `json:"species"`
-	Model      json.RawMessage `json:"model"`
+	Grid    [3]int          `json:"grid"`
+	Skin    float64         `json:"skin"`
+	Halo    float64         `json:"halo"`
+	Workers int             `json:"workers"`
+	Cell    [3]float64      `json:"cell"`
+	Species []units.Species `json:"species"`
+	Model   json.RawMessage `json:"model"`
 }
 
 // RemoteRuntime drives a rank-process fleet as an md.InPlacePotential: the
@@ -174,9 +170,8 @@ func NewRemoteRuntime(m *core.Model, sys *atoms.System, opts RemoteOptions) (*Re
 	}
 	wire := remoteWire{
 		Grid: opts.Grid, Skin: opts.Skin, Halo: opts.Halo,
-		Workers: opts.WorkersPerRank, Compiled: int(opts.Compiled),
-		RefKernels: opts.RefKernels,
-		Cell:       sys.Cell, Species: sys.Species, Model: modelJSON,
+		Workers: opts.WorkersPerRank,
+		Cell:    sys.Cell, Species: sys.Species, Model: modelJSON,
 	}
 	body, err := json.Marshal(&wire)
 	if err != nil {
@@ -322,7 +317,7 @@ func (r *RemoteRuntime) EnergyForcesInto(sys *atoms.System, forces [][3]float64)
 		return r.energy
 	}
 	r.stats.Steps++
-	r.energy = reduceEnergySlots(r.pairE, r.model, r.sys.Species)
+	r.energy = core.ReduceRows(r.model, r.sys.Species, nil, nil, r.pairE, nil)
 	r.noteOK()
 	return r.energy
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/atoms"
 	"repro/internal/core"
 	"repro/internal/neighbor"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 	"repro/internal/units"
 )
@@ -47,15 +46,6 @@ type RuntimeOptions struct {
 	// canonical slot arithmetic does not. Off runs the same phases
 	// bulk-synchronously.
 	Overlap bool
-	// Compiled selects each rank's execution mode: the compiled
-	// record-once/replay plans (the Auto default) or the autodiff tape.
-	// Both produce bit-identical rows, so trajectories are unaffected;
-	// every rank's scratch caches plans per local chunk shape.
-	Compiled core.CompiledMode
-	// RefKernels makes every rank replay its plans with the pre-kern
-	// reference kernels (see core.EvalScratch.RefKernels); bit-identical,
-	// benchmark/diagnostic only.
-	RefKernels bool
 	// ReuseEps enables displacement-gated temporal reuse: between rebuilds,
 	// a center whose accumulated environment-displacement bound stays at or
 	// under ReuseEps angstroms keeps its cached force rows and pair
@@ -509,8 +499,6 @@ func NewRuntime(m *core.Model, sys *atoms.System, opts RuntimeOptions) (*Runtime
 		// node with ranks x GOMAXPROCS pools).
 		rk.builder.Workers = wpr
 		rk.scratch.Workers = wpr
-		rk.scratch.Compiled = opts.Compiled
-		rk.scratch.RefKernels = opts.RefKernels
 		rk.builder.Skin = opts.Skin
 		ep, err := r.tr.Endpoint(id)
 		if err != nil {
@@ -691,17 +679,6 @@ func (r *Runtime) Overlapped() bool { return r.opts.Overlap }
 
 // ReuseEps returns the temporal-reuse tolerance (0 when reuse is disabled).
 func (r *Runtime) ReuseEps() float64 { return r.opts.ReuseEps }
-
-// ExecMode names the execution mode of the rank evaluations ("compiled" or
-// "tape") — recorded by perfmodel measurements so cluster calibrations
-// never mix anchors across modes.
-func (r *Runtime) ExecMode() string {
-	mode := r.opts.Compiled
-	if mode == core.CompiledAuto {
-		mode = r.model.Cfg.Compiled
-	}
-	return mode.String()
-}
 
 // PairWork reports the Verlet pairs evaluated per step, summed over ranks
 // (the workload term measurements normalize by).
@@ -1148,30 +1125,13 @@ func (r *Runtime) classifyAtoms() {
 	}
 }
 
-// reduceEnergy sums pair energies in canonical slot order, then per-species
-// shifts in atom order, then applies the final-stage precision — identical
-// on every rank grid.
+// reduceEnergy is core.ReduceRows' energy ladder over the global slots:
+// pair energies in canonical slot order, then per-species shifts in atom
+// order, then the final-stage precision — identical on every rank grid, and
+// the same call the remote driver makes over the pair energies gathered
+// from its rank processes.
 func (r *Runtime) reduceEnergy() float64 {
-	return reduceEnergySlots(r.pairE, r.model, r.sys.Species)
-}
-
-// reduceEnergySlots is the canonical energy reduction as a standalone
-// function: pairE in ascending global slot order, then per-species shifts
-// in atom order, then the final-stage precision. The remote driver runs the
-// same reduction over the pair energies gathered from its rank processes,
-// so distributed totals match the in-process ones bit for bit.
-func reduceEnergySlots(pairE []float64, m *core.Model, species []units.Species) float64 {
-	e := 0.0
-	for _, pe := range pairE {
-		e += pe
-	}
-	for _, sp := range species {
-		e += m.EnergyShift[m.Idx.Index(sp)]
-	}
-	if m.Cfg.Precision.Final != tensor.F64 {
-		e = m.Cfg.Precision.Final.Round(e)
-	}
-	return e
+	return core.ReduceRows(r.model, r.sys.Species, nil, nil, r.pairE, nil)
 }
 
 // --- rank phases ---

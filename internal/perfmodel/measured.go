@@ -29,11 +29,10 @@ type InstrumentedPotential interface {
 // at a measured single-node operating point instead of the A100 constants
 // (which remain the defaults for reproducing the paper's published curves).
 type Measurement struct {
-	Atoms   int    // atoms in the measured system
-	Pairs   int    // ordered pairs per force call (including padding)
-	Workers int    // resolved worker-pool size
-	Steps   int    // timed force calls
-	Mode    string // execution mode that produced the numbers: "compiled" or "tape"
+	Atoms   int // atoms in the measured system
+	Pairs   int // ordered pairs per force call (including padding)
+	Workers int // resolved worker-pool size
+	Steps   int // timed force calls
 
 	PairsPerSec float64 // achieved ordered pairs per second
 	AtomsPerSec float64 // achieved atom evaluations per second
@@ -44,23 +43,16 @@ type Measurement struct {
 
 // String renders the measurement for reports.
 func (m Measurement) String() string {
-	return fmt.Sprintf("measured (%s): %d atoms, %d pairs, %d workers: %.3g pairs/s, %.3g s/atom, %.0f allocs/op",
-		m.modeLabel(), m.Atoms, m.Pairs, m.Workers, m.PairsPerSec, m.TimePerAtom, m.AllocsPerOp)
-}
-
-func (m Measurement) modeLabel() string {
-	if m.Mode == "" {
-		return "tape"
-	}
-	return m.Mode
+	return fmt.Sprintf("measured: %d atoms, %d pairs, %d workers: %.3g pairs/s, %.3g s/atom, %.0f allocs/op",
+		m.Atoms, m.Pairs, m.Workers, m.PairsPerSec, m.TimePerAtom, m.AllocsPerOp)
 }
 
 // MeasureSingleNode runs `steps` steady-state force calls of the model on
-// sys through a fresh core.Evaluator (parallel neighbor build, arena-backed
-// tape, sharded force reduction) and reports achieved throughput and
-// allocation rates. Two warm-up calls size the arena and worker pools
-// before timing starts, so the numbers reflect the steady state the paper's
-// Sec. V-C padding is designed to reach.
+// sys through a fresh core.Evaluator (parallel neighbor build, chunked plan
+// replay, pair-order reduction) and reports achieved throughput and
+// allocation rates. Two warm-up calls compile the plans and start the worker
+// pools before timing starts, so the numbers reflect the steady state the
+// paper's Sec. V-C padding is designed to reach.
 func MeasureSingleNode(m *core.Model, sys *atoms.System, steps int) Measurement {
 	ev := core.NewEvaluator(m)
 	defer ev.Close()
@@ -77,19 +69,7 @@ func MeasurePotential(pot InstrumentedPotential, sys *atoms.System, steps, worke
 	forces := make([][3]float64, sys.NumAtoms())
 	pot.EnergyForcesInto(sys, forces)
 	pot.EnergyForcesInto(sys, forces)
-	meas := measureSteadyState(pot, sys, forces, steps, workers)
-	meas.Mode = execModeOf(pot)
-	return meas
-}
-
-// execModeOf records which execution path produced a measurement: backends
-// expose ExecMode (core.Evaluator, domain.Runtime); anything else is the
-// interpreted default.
-func execModeOf(pot InstrumentedPotential) string {
-	if em, ok := pot.(interface{ ExecMode() string }); ok {
-		return em.ExecMode()
-	}
-	return "tape"
+	return measureSteadyState(pot, sys, forces, steps, workers)
 }
 
 // measureSteadyState is the timed window shared by every measurement path;
@@ -161,8 +141,8 @@ type DecomposedMeasurement struct {
 
 // String renders the decomposed measurement for reports.
 func (m DecomposedMeasurement) String() string {
-	s := fmt.Sprintf("measured decomposed (%s): %d ranks, %d atoms, %d pairs: %.3g pairs/s (%.3g per rank), %.0f allocs/op, ghosts %d B fwd + %d B rev per step, %d rebuilds/%d steps, phases xchg %d + int %d + front %d + red %d ns/step, overlap %.0f%%",
-		m.modeLabel(), m.Ranks, m.Atoms, m.Pairs, m.PairsPerSec, m.PairsPerSecRank, m.AllocsPerOp,
+	s := fmt.Sprintf("measured decomposed: %d ranks, %d atoms, %d pairs: %.3g pairs/s (%.3g per rank), %.0f allocs/op, ghosts %d B fwd + %d B rev per step, %d rebuilds/%d steps, phases xchg %d + int %d + front %d + red %d ns/step, overlap %.0f%%",
+		m.Ranks, m.Atoms, m.Pairs, m.PairsPerSec, m.PairsPerSecRank, m.AllocsPerOp,
 		m.ForwardBytesStep, m.ReverseBytesStep, m.Rebuilds, m.Steps,
 		m.ExchangeNsStep, m.InteriorNsStep, m.FrontierNsStep, m.ReduceNsStep,
 		100*m.OverlapFraction)
@@ -198,7 +178,6 @@ func MeasureRuntime(rt *domain.Runtime, sys *atoms.System, steps int) Decomposed
 	pre := rt.Stats()
 
 	m := measureSteadyState(rt, sys, forces, steps, rt.NumRanks()*rt.WorkersPerRank())
-	m.Mode = execModeOf(rt)
 	st := rt.Stats()
 	meas := DecomposedMeasurement{
 		Measurement:      m,
@@ -227,14 +206,12 @@ func MeasureRuntime(rt *domain.Runtime, sys *atoms.System, steps int) Decomposed
 
 // CalibrateMachine anchors a cluster machine model at a measured operating
 // point: the per-atom compute time becomes the measured single-node value
-// instead of the frozen A100 constant, and the machine records which
-// execution mode (tape vs compiled) produced the anchor. Communication and
-// synchronization terms keep their configured values (they model the
-// interconnect, which a single-node measurement cannot see).
+// instead of the frozen A100 constant. Communication and synchronization
+// terms keep their configured values (they model the interconnect, which a
+// single-node measurement cannot see).
 func CalibrateMachine(mach cluster.Machine, meas Measurement) cluster.Machine {
 	if meas.TimePerAtom > 0 {
 		mach.TimePerAtom = meas.TimePerAtom
-		mach.AnchorMode = meas.modeLabel()
 	}
 	return mach
 }
@@ -243,20 +220,19 @@ func CalibrateMachine(mach cluster.Machine, meas Measurement) cluster.Machine {
 // measurement: the per-atom compute time as in CalibrateMachine, plus the
 // measured overlap fraction of the communication-hiding pipeline, which
 // discounts the analytic ghost-exchange term to its exposed remainder in
-// Machine.StepTime. Anchors never mix across execution modes: the overlap
-// discount is applied only when the machine's compute anchor was produced
-// by the same mode as this measurement (CalibrateMachine re-anchors both
-// together, so a valid decomposed measurement always matches itself; a
-// degenerate measurement cannot smear its overlap onto a foreign anchor).
+// Machine.StepTime, and the measured reuse fraction. A degenerate
+// measurement (no compute anchor) changes nothing: its overlap and reuse
+// fractions belong to a step time it did not measure.
 func CalibrateMachineDecomposed(mach cluster.Machine, meas DecomposedMeasurement) cluster.Machine {
+	if meas.TimePerAtom <= 0 {
+		return mach
+	}
 	mach = CalibrateMachine(mach, meas.Measurement)
-	if mach.AnchorMode == meas.modeLabel() {
-		if meas.OverlapFraction > 0 {
-			mach.Overlap = meas.OverlapFraction
-		}
-		if meas.ReuseFraction > 0 {
-			mach.ReuseFraction = meas.ReuseFraction
-		}
+	if meas.OverlapFraction > 0 {
+		mach.Overlap = meas.OverlapFraction
+	}
+	if meas.ReuseFraction > 0 {
+		mach.ReuseFraction = meas.ReuseFraction
 	}
 	return mach
 }

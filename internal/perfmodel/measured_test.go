@@ -121,58 +121,13 @@ func TestMeasureRuntimeOverlapAndCalibration(t *testing.T) {
 	}
 }
 
-// TestMeasurementRecordsExecMode checks the anchor-hygiene contract: every
-// measurement carries the execution mode that produced it (compiled by
-// default, tape when forced), CalibrateMachine stamps that mode onto the
-// machine's anchor, and the decomposed overlay never smears an overlap
-// fraction across modes.
-func TestMeasurementRecordsExecMode(t *testing.T) {
-	cfg := core.DefaultConfig([]units.Species{units.H, units.O})
-	m, err := core.New(cfg, nil, rand.New(rand.NewPCG(1, 2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := data.WaterBox(rand.New(rand.NewPCG(3, 4)), 2, 2, 2)
-
-	compiled := MeasureSingleNode(m, sys, 1)
-	if compiled.Mode != "compiled" {
-		t.Fatalf("default single-node measurement mode = %q, want compiled", compiled.Mode)
-	}
-
-	ev := core.NewEvaluator(m)
-	ev.Scratch.Compiled = core.CompiledOff
-	defer ev.Close()
-	tape := MeasurePotential(ev, sys, 1, 1)
-	if tape.Mode != "tape" {
-		t.Fatalf("tape-forced measurement mode = %q, want tape", tape.Mode)
-	}
-
-	mach := CalibrateMachine(cluster.Perlmutter(), compiled)
-	if mach.AnchorMode != "compiled" {
-		t.Fatalf("AnchorMode = %q after compiled calibration", mach.AnchorMode)
-	}
-	mach = CalibrateMachine(mach, tape)
-	if mach.AnchorMode != "tape" {
-		t.Fatalf("AnchorMode = %q after tape re-anchor", mach.AnchorMode)
-	}
-
-	// A decomposed overlay re-anchors mode and overlap from one measurement:
-	// a degenerate measurement (no compute anchor) must not push its overlap
-	// onto the foreign anchor already in place.
-	stale := DecomposedMeasurement{OverlapFraction: 0.5}
-	stale.Mode = "compiled"
-	mach = CalibrateMachineDecomposed(mach, stale)
-	if mach.Overlap == 0.5 {
-		t.Fatal("overlap fraction crossed execution modes")
-	}
-	sys3 := data.WaterBox(rand.New(rand.NewPCG(3, 4)), 3, 3, 3)
-	rt, err := domain.NewRuntime(m, sys3, domain.RuntimeOptions{Grid: [3]int{1, 1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	dm := MeasureRuntime(rt, sys3, 1)
-	if dm.Mode != "compiled" {
-		t.Fatalf("runtime measurement mode = %q, want compiled", dm.Mode)
+// TestDegenerateMeasurementDoesNotCalibrate checks the anchor-hygiene
+// contract of the decomposed overlay: a measurement without a compute anchor
+// must not push its overlap fraction onto an anchor it did not produce.
+func TestDegenerateMeasurementDoesNotCalibrate(t *testing.T) {
+	mach := CalibrateMachine(cluster.Perlmutter(), Measurement{TimePerAtom: 1e-6})
+	mach = CalibrateMachineDecomposed(mach, DecomposedMeasurement{OverlapFraction: 0.5})
+	if mach.Overlap == 0.5 || mach.TimePerAtom != 1e-6 {
+		t.Fatalf("degenerate measurement calibrated the machine: overlap %g, s/atom %g", mach.Overlap, mach.TimePerAtom)
 	}
 }

@@ -203,8 +203,8 @@ func RoundSliceTo(dst []float32, src []float64, p Precision) {
 
 // RoundSliceToFast is RoundSliceTo using the branch-free RoundTF32Fast —
 // bit-identical results, used by the kern-mode plan paths where the rounding
-// sweep is hot (the reference paths keep RoundSliceTo so the RefKernels
-// benchmark anchor is the pre-kern code exactly).
+// sweep is hot (the reference paths keep RoundSliceTo so the differential
+// oracle is the pre-kern code exactly).
 func RoundSliceToFast(dst []float32, src []float64, p Precision) {
 	if p == TF32 {
 		for i, v := range src {

@@ -52,7 +52,7 @@ func (p Precision) Round(v float64) float64 {
 // (round-to-nearest-even), then the 23-bit mantissa is rounded to 10 bits,
 // again nearest-even, matching the A100 tensor-core input conversion. This is
 // the reference statement of the projection (and the form the pre-kern
-// compiled evaluator ran, so the RefKernels benchmark anchor keeps it); the
+// compiled evaluator ran, so the reference kernels keep it); the
 // microkernel layer uses the bit-identical branch-free RoundTF32Fast in its
 // rounding-bound staging loops.
 func RoundTF32(v float64) float64 {

@@ -51,7 +51,7 @@ const DefaultSkin = 0.5
 // Lifecycle: Step / Run(ctx, n) advance the trajectory and drive observers;
 // Report snapshots state; Checkpoint/Resume round-trip a restart point;
 // Close (idempotent, safe on both backends) releases rank workers and
-// evaluation arenas. With observers detached, steady-state stepping
+// evaluation worker pools. With observers detached, steady-state stepping
 // allocates nothing on either backend.
 type Simulation struct {
 	*md.Simulation
@@ -66,21 +66,19 @@ type Simulation struct {
 
 // simConfig accumulates functional options before backend dispatch.
 type simConfig struct {
-	engine     []md.SimOption
-	grid       [3]int
-	gridSet    bool
-	auto       bool
-	overlap    bool
-	compiled   core.CompiledMode
-	refKernels bool
-	profile    *core.KernelProfile
-	skin       float64
-	halo       float64
-	workers    int
-	reuseEps   float64
-	respaK     int
-	extras     []Potential
-	err        error
+	engine   []md.SimOption
+	grid     [3]int
+	gridSet  bool
+	auto     bool
+	overlap  bool
+	profile  *core.KernelProfile
+	skin     float64
+	halo     float64
+	workers  int
+	reuseEps float64
+	respaK   int
+	extras   []Potential
+	err      error
 }
 
 // Option configures NewSimulation.
@@ -176,42 +174,13 @@ func WithOverlap() Option {
 	return func(c *simConfig) { c.overlap = true }
 }
 
-// WithCompiled selects the inference execution mode of the force backend:
-// true (the default even without this option) replays the compiled
-// record-once/replay plans of internal/plan — the forward pass recorded
-// once per (model, chunk shape) with a hand-scheduled analytic backward —
-// and false falls back to the interpreted autodiff tape. The two paths are
-// bit-identical in energies, forces, and trajectories; compiled replay is
-// simply faster (it retires the per-step tape construction, re-folds no
-// weights, and stays allocation-free at every precision), so the toggle
-// exists for A/B measurement and as an escape hatch.
-func WithCompiled(on bool) Option {
-	return func(c *simConfig) {
-		if on {
-			c.compiled = core.CompiledOn
-		} else {
-			c.compiled = core.CompiledOff
-		}
-	}
-}
-
-// WithRefKernels makes compiled-plan replay use the pre-kern reference
-// kernels (unpacked matmuls, unblocked tensor-product contractions) instead
-// of the register-blocked microkernel layer of internal/tensor/kern. The
-// two kernel sets are bit-identical in every output; the toggle exists so
-// benchmarks can measure the microkernel speedup on the same machine
-// (BENCH_simd) and as a differential oracle. No effect in tape mode.
-func WithRefKernels(on bool) Option {
-	return func(c *simConfig) { c.refKernels = on }
-}
-
 // WithKernelProfile accumulates a per-kernel-class wall-time breakdown of
 // every compiled replay into kp (forward/backward matmuls, tensor-product
 // contractions, environment rows, radial basis, the rest). The per-op timers
 // add overhead, so this is diagnostic instrumentation — the allegro-bench
 // -kernels flag — not a production mode. Serial evaluator only: pair it with
 // WithWorkers(1); the decomposed backend and parallel chunk workers ignore
-// it. No effect in tape mode.
+// it.
 func WithKernelProfile(kp *core.KernelProfile) Option {
 	return func(c *simConfig) { c.profile = kp }
 }
@@ -300,10 +269,11 @@ func WithExtraPotential(p Potential) Option {
 // model and system into a force backend chosen by the options — the serial
 // zero-allocation Evaluator by default, the persistent decomposed Runtime
 // under WithGrid/WithAutoDecompose — and returns the uniform engine over
-// it. Default-option trajectories are bit-identical to the deprecated
-// NewSim constructor; WithGrid trajectories are bit-identical to
-// NewDecomposedSim (and to every other grid). Call Close when done (always
-// safe; required to release rank workers on the decomposed backend).
+// it. Default-option trajectories are bit-identical to md.NewSim over a
+// core.Evaluator for any worker count; WithGrid trajectories are
+// bit-identical to md.NewDecomposedSim over a domain.Runtime, and to every
+// other grid. Call Close when done (always safe; required to release rank
+// workers on the decomposed backend).
 func NewSimulation(sys *System, model *Model, opts ...Option) (*Simulation, error) {
 	cfg := simConfig{skin: DefaultSkin}
 	for _, o := range opts {
@@ -349,8 +319,6 @@ func NewSimulation(sys *System, model *Model, opts ...Option) (*Simulation, erro
 			Halo:           cfg.halo,
 			WorkersPerRank: cfg.workers,
 			Overlap:        cfg.overlap,
-			Compiled:       cfg.compiled,
-			RefKernels:     cfg.refKernels,
 			ReuseEps:       cfg.reuseEps,
 		})
 		if err != nil {
@@ -364,8 +332,6 @@ func NewSimulation(sys *System, model *Model, opts ...Option) (*Simulation, erro
 		if cfg.workers != 0 {
 			re.Scratch.Workers = cfg.workers
 		}
-		re.Scratch.Compiled = cfg.compiled
-		re.Scratch.RefKernels = cfg.refKernels
 		re.Scratch.Profile = cfg.profile
 		s.reuse = re
 		pot = re
@@ -374,8 +340,6 @@ func NewSimulation(sys *System, model *Model, opts ...Option) (*Simulation, erro
 		if cfg.workers != 0 {
 			ev.Scratch.Workers = cfg.workers
 		}
-		ev.Scratch.Compiled = cfg.compiled
-		ev.Scratch.RefKernels = cfg.refKernels
 		ev.Scratch.Profile = cfg.profile
 		s.evaluator = ev
 		pot = ev
@@ -421,7 +385,7 @@ func (s *Simulation) closeBackend() {
 }
 
 // Close releases the simulation's resources — rank workers on the
-// decomposed backend, worker pools and arenas on the serial one. It is
+// decomposed backend, worker pools on the serial one. It is
 // idempotent and safe to call on both backends; it returns any pending
 // trajectory write error.
 func (s *Simulation) Close() error {
@@ -458,22 +422,6 @@ func (s *Simulation) NumRanks() int {
 // communication-hiding pipeline (always false on the serial backend).
 func (s *Simulation) Overlapped() bool {
 	return s.runtime != nil && s.runtime.Overlapped()
-}
-
-// Compiled reports whether the force backend replays compiled inference
-// plans (true by default; see WithCompiled).
-func (s *Simulation) Compiled() bool { return s.ExecMode() == "compiled" }
-
-// ExecMode names the force backend's execution mode for logs and
-// measurements: "compiled" or "tape".
-func (s *Simulation) ExecMode() string {
-	if s.runtime != nil {
-		return s.runtime.ExecMode()
-	}
-	if s.reuse != nil {
-		return s.reuse.ExecMode()
-	}
-	return s.evaluator.ExecMode()
 }
 
 // Backend names the force backend for logs: "serial",

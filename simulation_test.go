@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/atoms"
 	"repro/internal/data"
+	"repro/internal/domain"
 	"repro/internal/md"
 )
 
@@ -50,8 +51,8 @@ func samePositions(t *testing.T, what string, a, b *atoms.System) {
 }
 
 // TestNewSimulationMatchesLegacySerial checks that the default (serial)
-// backend reproduces the deprecated NewSim wiring bit-for-bit, thermostat
-// and velocity streams included.
+// backend reproduces hand-wired md.NewSim over a core.Evaluator bit-for-bit,
+// thermostat and velocity streams included.
 func TestNewSimulationMatchesLegacySerial(t *testing.T) {
 	model, box := testModelAndBox(t)
 	const seed, tempK, dt, steps = 9, 300.0, 0.4, 12
@@ -68,7 +69,9 @@ func TestNewSimulationMatchesLegacySerial(t *testing.T) {
 	}
 
 	sysOld := box.Clone()
-	legacy := NewSim(sysOld, model, dt)
+	ev := NewEvaluator(model)
+	defer ev.Close()
+	legacy := md.NewSim(sysOld, ev, dt)
 	rng := legacyRNG(seed)
 	legacy.Thermostat = &Langevin{TempK: tempK, Gamma: md.DefaultLangevinGamma, Rng: rng}
 	legacy.InitVelocities(tempK, rng)
@@ -85,7 +88,7 @@ func TestNewSimulationMatchesLegacySerial(t *testing.T) {
 }
 
 // TestNewSimulationMatchesLegacyDecomposed checks that WithGrid reproduces
-// the deprecated NewDecomposedSim trajectories bit-for-bit across rank
+// hand-wired md.NewDecomposedSim over a domain.Runtime bit-for-bit across rank
 // grids — and therefore (transitively, via the runtime's grid-invariance)
 // that every grid agrees with every other.
 func TestNewSimulationMatchesLegacyDecomposed(t *testing.T) {
@@ -106,10 +109,11 @@ func TestNewSimulationMatchesLegacyDecomposed(t *testing.T) {
 		}
 
 		sysOld := box.Clone()
-		legacy, err := NewDecomposedSim(sysOld, model, dt, RuntimeOptions{Grid: grid, Skin: skin})
+		rt, err := domain.NewRuntime(model, sysOld, RuntimeOptions{Grid: grid, Skin: skin})
 		if err != nil {
 			t.Fatal(err)
 		}
+		legacy := md.NewDecomposedSim(sysOld, rt, dt)
 		rng := legacyRNG(seed)
 		legacy.Thermostat = &Langevin{TempK: tempK, Gamma: md.DefaultLangevinGamma, Rng: rng}
 		legacy.InitVelocities(tempK, rng)
@@ -310,41 +314,37 @@ func TestSimulationMeasureBothBackends(t *testing.T) {
 // trajectory — bit-identical positions and energy against the synchronous
 // decomposed backend, thermostat stream included.
 // TestSimulationCompiledBitIdentical is the trajectory-level half of the
-// compiled-engine correctness bar: on the serial backend and on rank grids
-// {1x1x1, 2x1x1, 2x2x2}, MD driven by compiled plan replay must be
-// bit-identical to the tape path — positions and reports exactly equal
-// after thermostatted steps. (The chunk-level property sweep lives in
-// core's TestCompiledMatchesTape.)
+// compiled-engine correctness bar: serial MD driven by compiled plan replay
+// (at two worker counts) must be bit-identical to the same engine driven by
+// the tape oracle (Model.EnergyForces) — positions and reports exactly equal
+// after thermostatted steps. (The chunk-level property sweep, which is what
+// the decomposed backend's ranks run, lives in core's
+// TestCompiledMatchesTape.)
 func TestSimulationCompiledBitIdentical(t *testing.T) {
 	model, box := testModelAndBox(t)
-	run := func(opts ...Option) *Simulation {
-		base := []Option{WithTimestep(0.4), WithSkin(0.4), WithTemperature(300), WithSeed(9)}
-		sim, err := NewSimulation(box.Clone(), model, append(base, opts...)...)
+	const steps = 25
+	tapeSys := box.Clone()
+	tape, err := md.NewSimulation(tapeSys, model,
+		md.WithTimestep(0.4), md.WithTemperature(300), md.WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tape.Run(context.Background(), steps); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		comp, err := NewSimulation(box.Clone(), model,
+			WithTimestep(0.4), WithTemperature(300), WithSeed(9), WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.Run(context.Background(), 25); err != nil {
+		if err := comp.Run(context.Background(), steps); err != nil {
 			t.Fatal(err)
 		}
-		return sim
-	}
-	grids := [][]Option{
-		nil, // serial backend
-		{WithGrid(1, 1, 1)},
-		{WithGrid(2, 1, 1)},
-		{WithGrid(2, 2, 2)},
-	}
-	for gi, grid := range grids {
-		tape := run(append([]Option{WithCompiled(false)}, grid...)...)
-		comp := run(append([]Option{WithCompiled(true)}, grid...)...)
-		if tape.ExecMode() != "tape" || comp.ExecMode() != "compiled" {
-			t.Fatalf("grid %d: ExecMode wiring: %q vs %q", gi, tape.ExecMode(), comp.ExecMode())
-		}
 		if a, b := tape.Report(), comp.Report(); a != b {
-			t.Fatalf("grid %d: reports diverged:\n tape: %+v\n comp: %+v", gi, a, b)
+			t.Fatalf("workers %d: reports diverged:\n tape: %+v\n comp: %+v", workers, a, b)
 		}
-		samePositions(t, "compiled vs tape", tape.System(), comp.System())
-		tape.Close()
+		samePositions(t, "compiled vs tape", tapeSys, comp.System())
 		comp.Close()
 	}
 }
