@@ -357,8 +357,12 @@ func (rk *rank) execExchangeGhosts() {
 					pending = 0 // our own endpoint died; drain no further
 				}
 			case transport.KindRecover:
+				// The epoch supersedes a peer death latched earlier in this
+				// phase (noteErr keeps only the first error): the caller
+				// must see the interrupt, or it walks into the row exchange
+				// with the epoch frame parked where that phase never looks.
 				rk.stashData()
-				rk.noteErr(errRecoverInterrupt)
+				rk.commErr = errRecoverInterrupt
 				pending = 0
 			default:
 				rk.stashData()

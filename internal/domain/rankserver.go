@@ -542,6 +542,13 @@ func (s *RankServer) handleStep(f *transport.Frame) error {
 	rt.parity ^= 1
 	rt.postTime = time.Now()
 	rk.execExchangeGhosts()
+	if errors.Is(rk.commErr, errRecoverInterrupt) {
+		// The recovery epoch opened while this rank waited for ghosts: its
+		// frame is parked for the serve loop, and the row exchange below
+		// reads only row and death frames, so it would wait for rows no
+		// peer will send while the driver waits for this rank's ack.
+		return s.settlePhaseComm(rt.stepTick)
+	}
 	rk.evalIntNs = rk.timeEval(0, rk.nInterior, &rk.intView)
 	rk.evalFrontNs = rk.timeEval(rk.nInterior, rk.pairs.Len(), &rk.frontView)
 	rk.execExchangeRows()

@@ -9,12 +9,29 @@ import (
 	"repro/internal/tensor/kern"
 )
 
-// FuzzMatMulTPacked drives the packed register-blocked kernels against the
-// reference kernels bit for bit over fuzzer-chosen shapes, data seeds, and
-// precisions, including the tile-streamed Rows entry points and scattered
-// zeros in the activation operand. Run with `go test -fuzz FuzzMatMulTPacked`
-// to explore; the committed corpus pins ragged tails, degenerate dims, and
-// each precision as regression seeds.
+// fuzzFill fills xs from rng: normal values with scattered zeros, or (special)
+// the ±0 / subnormal mix of fillSpecial.
+func fuzzFill(rng *rand.Rand, xs []float64, special bool) {
+	if special {
+		fillSpecial(rng, xs)
+		return
+	}
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
+		if rng.IntN(11) == 0 {
+			xs[i] = 0
+		}
+	}
+}
+
+// FuzzMatMulTPacked drives every kernel set's packed register-blocked
+// kernels (on an AVX2 host: the assembly and the portable Go set) against
+// the reference kernels bit for bit over fuzzer-chosen shapes, data seeds,
+// and precisions, including the tile-streamed Rows entry points at a
+// seed-chosen window height and ±0 / subnormal operands. Run with
+// `go test -fuzz FuzzMatMulTPacked` to explore; the committed corpus pins
+// ragged tails, degenerate dims, each precision and the vector, tile and
+// panel boundaries as regression seeds.
 func FuzzMatMulTPacked(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(1), uint64(1), uint8(0))
 	f.Add(uint8(4), uint8(8), uint8(4), uint64(2), uint8(1))
@@ -28,32 +45,30 @@ func FuzzMatMulTPacked(f *testing.F) {
 		rng := rand.New(rand.NewPCG(seed, 0x9E3779B9))
 		a := make([]float64, m*k)
 		b := make([]float64, n*k)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-			if rng.IntN(11) == 0 {
-				a[i] = 0
-			}
-		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
+		special := precRaw/3%2 == 1
+		fuzzFill(rng, a, special)
+		fuzzFill(rng, b, special)
+		win := int(seed%9) + 1 // Rows window height, both sides of MR
+		want := make([]float64, m*n)
+		got := make([]float64, m*n)
 
 		switch precRaw % 3 {
 		case 0: // F64: packed whole and tile-streamed vs the reference.
-			want := make([]float64, m*n)
 			refMatMulT(want, a, b, m, k, n)
 			pb := kern.PackPanelB64(b, n, k)
-			got := make([]float64, m*n)
-			kern.MatMulTPacked64(got, a, pb, m, k, n)
-			diffCheck(t, "packed64", want, got)
-			clear(got)
-			buf := make([]float64, kern.MR*k)
-			for i0 := 0; i0 < m; i0 += kern.MR {
-				rows := min(kern.MR, m-i0)
-				copy(buf[:rows*k], a[i0*k:(i0+rows)*k])
-				kern.MatMulTPacked64Rows(got, buf[:rows*k], pb, i0, rows, k, n)
+			buf := make([]float64, win*k)
+			for _, ks := range kern.KernelSets {
+				clear(got)
+				ks.MatMulT64Rows(got, a, pb, 0, m, k, n)
+				diffCheck(t, ks.Name+" packed64", want, got)
+				clear(got)
+				for i0 := 0; i0 < m; i0 += win {
+					rows := min(win, m-i0)
+					copy(buf, a[i0*k:(i0+rows)*k])
+					ks.MatMulT64Rows(got, buf[:rows*k], pb, i0, rows, k, n)
+				}
+				diffCheck(t, ks.Name+" packed64rows", want, got)
 			}
-			diffCheck(t, "packed64rows", want, got)
 		default:
 			p := tensor.F32
 			if precRaw%3 == 2 {
@@ -63,28 +78,30 @@ func FuzzMatMulTPacked(f *testing.F) {
 			rb := make([]float32, n*k)
 			tensor.RoundSliceTo(ra, a, p)
 			tensor.RoundSliceTo(rb, b, p)
-			want := make([]float64, m*n)
 			tensor.MatMulTRounded(want, ra, rb, m, k, n)
 			pb := kern.PackPanelB32(rb, n, k)
-			got := make([]float64, m*n)
-			kern.MatMulTPacked32(got, ra, pb, m, k, n)
-			diffCheck(t, "packed32", want, got)
-			clear(got)
-			buf := make([]float32, kern.MR*k)
-			for i0 := 0; i0 < m; i0 += kern.MR {
-				rows := min(kern.MR, m-i0)
-				copy(buf[:rows*k], ra[i0*k:(i0+rows)*k])
-				kern.MatMulTPacked32Rows(got, buf[:rows*k], pb, i0, rows, k, n)
+			buf := make([]float32, win*k)
+			for _, ks := range kern.KernelSets {
+				clear(got)
+				ks.MatMulT32Rows(got, ra, pb, 0, m, k, n)
+				diffCheck(t, ks.Name+" packed32", want, got)
+				clear(got)
+				for i0 := 0; i0 < m; i0 += win {
+					rows := min(win, m-i0)
+					copy(buf, ra[i0*k:(i0+rows)*k])
+					ks.MatMulT32Rows(got, buf[:rows*k], pb, i0, rows, k, n)
+				}
+				diffCheck(t, ks.Name+" packed32rows", want, got)
 			}
-			diffCheck(t, "packed32rows", want, got)
 		}
 	})
 }
 
-// FuzzMatMulBlocked64 checks the four-row-blocked backward matmul against
-// the skip-zero ikj reference over fuzzed shapes and zero patterns (whole
-// zero rows and scattered zero elements — the ±0-addend equivalence the
-// kernel's doc comment argues).
+// FuzzMatMulBlocked64 checks every kernel set's backward matmul against the
+// skip-zero ikj reference over fuzzed shapes and zero patterns (whole zero
+// rows, whole zero MR blocks and scattered zero elements — the ±0-addend
+// equivalence the kernel's doc comment argues), with ±0 / subnormal operands
+// on odd seeds.
 func FuzzMatMulBlocked64(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(1), uint64(1), uint8(0))
 	f.Add(uint8(8), uint8(9), uint8(5), uint64(2), uint8(3))
@@ -97,18 +114,20 @@ func FuzzMatMulBlocked64(f *testing.F) {
 		rng := rand.New(rand.NewPCG(seed, 0x1D872B41))
 		a := make([]float64, m*k)
 		b := make([]float64, k*n)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		// zeroRaw picks a zero pattern density for A: 0 = dense, otherwise
-		// roughly zeroRaw/32 rows zeroed plus scattered elements.
+		fuzzFill(rng, a, seed%2 == 1)
+		fuzzFill(rng, b, seed%2 == 1)
+		// zeroRaw picks a zero pattern density for A: 0 = as filled,
+		// otherwise roughly zeroRaw/256 of the rows and of the MR blocks
+		// zeroed, plus scattered elements.
 		if zeroRaw > 0 {
 			for i := 0; i < m; i++ {
 				if rng.IntN(256) < int(zeroRaw) {
 					clear(a[i*k : (i+1)*k])
+				}
+			}
+			for i := 0; i+kern.MR <= m; i += kern.MR {
+				if rng.IntN(256) < int(zeroRaw) {
+					clear(a[i*k : (i+kern.MR)*k])
 				}
 			}
 			for i := range a {
@@ -120,16 +139,21 @@ func FuzzMatMulBlocked64(f *testing.F) {
 		want := make([]float64, m*n)
 		got := make([]float64, m*n)
 		refMatMul(want, a, b, m, k, n)
-		kern.MatMulBlocked64(got, a, b, m, k, n)
-		diffCheck(t, "blocked64", want, got)
+		for _, ks := range kern.KernelSets {
+			fillNorm(rng, got)
+			ks.MatMulBlocked64(got, a, b, m, k, n)
+			diffCheck(t, ks.Name+" blocked64", want, got)
+		}
 	})
 }
 
+// diffCheck reports the first element of got whose bits differ from want.
 func diffCheck(t *testing.T, name string, want, got []float64) {
 	t.Helper()
 	for i := range want {
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			t.Fatalf("%s elem %d: %x, want %x", name, i, got[i], want[i])
+			t.Errorf("%s elem %d: %x, want %x", name, i, got[i], want[i])
+			return
 		}
 	}
 }

@@ -3,6 +3,10 @@ package kern_test
 import (
 	"math"
 	"math/rand/v2"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -30,30 +34,62 @@ func fillNorm(rng *rand.Rand, xs []float64) {
 	}
 }
 
-// TestPackedMatchesReferenceBitwise checks both precisions over ragged
-// m/k/n — tile-exact, tail rows, tail columns, degenerate dims — for
-// bit-for-bit agreement with the reference kernels.
+// fillSpecial is fillNorm with about a third of the entries replaced by the
+// values a vector kernel could treat differently from the scalar loop: ±0,
+// float64 and float32 subnormals, and magnitudes whose pairwise products are
+// subnormal in float32 (1e-20) or float64 (1e-160).
+func fillSpecial(rng *rand.Rand, xs []float64) {
+	specials := [...]float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, 1e-40, -1e-40, 1e-20, -1e-20, 1e-160, -1e-160}
+	for i := range xs {
+		if xs[i] = rng.NormFloat64(); rng.IntN(3) == 0 {
+			xs[i] = specials[rng.IntN(len(specials))]
+		}
+	}
+}
+
+// Ragged dims around every tile and vector boundary of both kernel sets:
+// rows around the MR block, columns and the inner dimension around 4, 8, 16
+// lanes and around the 1-, 2- and 3-panel widths.
+var (
+	rowDims   = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33}
+	innerDims = []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33}
+	colDims   = []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 47, 48, 49}
+)
+
+// offset returns a copy of xs that starts one element into its backing
+// array, so the kernels see pointers that are aligned to the element size
+// only — never to a vector.
+func offset[F any](xs []F) []F { return append(make([]F, 1, len(xs)+1), xs...)[1:] }
+
+// TestPackedMatchesReferenceBitwise checks every kernel set at both
+// precisions over ragged m/k/n — tile-exact, tail rows, tail columns,
+// degenerate dims — with ±0 and subnormal operands, on element-aligned
+// sub-slices, for bit-for-bit agreement with the reference kernels; and the
+// exported entry points (whichever set they dispatch to) with it.
 func TestPackedMatchesReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 13))
-	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33}
-	for _, m := range dims {
-		for _, k := range dims {
-			for _, n := range dims {
+	for _, m := range rowDims {
+		for _, k := range innerDims {
+			for _, n := range colDims {
 				a := make([]float64, m*k)
 				b := make([]float64, n*k)
-				fillNorm(rng, a)
-				fillNorm(rng, b)
+				fillSpecial(rng, a)
+				fillSpecial(rng, b)
+				want := make([]float64, m*n)
+				got := offset(make([]float64, m*n))
 
 				// F64 path.
-				want := make([]float64, m*n)
 				refMatMulT(want, a, b, m, k, n)
-				got := make([]float64, m*n)
-				kern.MatMulTPacked64(got, a, kern.PackPanelB64(b, n, k), m, k, n)
-				for i := range want {
-					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-						t.Fatalf("F64 m=%d k=%d n=%d: elem %d = %x, want %x", m, k, n, i, got[i], want[i])
-					}
+				pb64 := offset(kern.PackPanelB64(b, n, k))
+				a64 := offset(a)
+				for _, ks := range kern.KernelSets {
+					clear(got)
+					ks.MatMulT64Rows(got, a64, pb64, 0, m, k, n)
+					diffCheck(t, ks.Name+" F64", want, got)
 				}
+				clear(got)
+				kern.MatMulTPacked64(got, a64, pb64, m, k, n)
+				diffCheck(t, "MatMulTPacked64", want, got)
 
 				// Narrow paths: pre-round like the plan does, compare against
 				// tensor.MatMulTRounded on the same rounded operands.
@@ -63,68 +99,67 @@ func TestPackedMatchesReferenceBitwise(t *testing.T) {
 					tensor.RoundSliceTo(ra, a, p)
 					tensor.RoundSliceTo(rb, b, p)
 					tensor.MatMulTRounded(want, ra, rb, m, k, n)
-					kern.MatMulTPacked32(got, ra, kern.PackPanelB32(rb, n, k), m, k, n)
-					for i := range want {
-						if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-							t.Fatalf("%v m=%d k=%d n=%d: elem %d = %x, want %x", p, m, k, n, i, got[i], want[i])
-						}
+					pb32 := offset(kern.PackPanelB32(rb, n, k))
+					ra = offset(ra)
+					for _, ks := range kern.KernelSets {
+						clear(got)
+						ks.MatMulT32Rows(got, ra, pb32, 0, m, k, n)
+						diffCheck(t, ks.Name+" "+p.String(), want, got)
 					}
+					clear(got)
+					kern.MatMulTPacked32(got, ra, pb32, m, k, n)
+					diffCheck(t, "MatMulTPacked32 "+p.String(), want, got)
+				}
+				if t.Failed() {
+					t.Fatalf("first failure at m=%d k=%d n=%d", m, k, n)
 				}
 			}
 		}
 	}
 }
 
-// TestRowWindowMatchesWhole drives the Rows entry points tile by tile — the
-// plan's fused SiLU→Linear streaming pattern — and checks the assembled
-// result equals a single whole-matrix call.
+// TestRowWindowMatchesWhole drives the Rows entry points of every kernel
+// set window by window — the plan's fused SiLU→Linear streaming pattern,
+// entered at i0 != 0 with window heights on both sides of the MR block — and
+// checks the assembled result against the whole-matrix reference.
 func TestRowWindowMatchesWhole(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 5))
-	m, k, n := 13, 9, 6
-	a := make([]float64, m*k)
-	b := make([]float64, n*k)
-	fillNorm(rng, a)
-	fillNorm(rng, b)
+	for _, dims := range [][3]int{{13, 9, 6}, {33, 17, 49}, {37, 36, 48}} {
+		m, k, n := dims[0], dims[1], dims[2]
+		a := make([]float64, m*k)
+		b := make([]float64, n*k)
+		fillSpecial(rng, a)
+		fillSpecial(rng, b)
+		ra := make([]float32, m*k)
+		rb := make([]float32, n*k)
+		tensor.RoundSliceTo(ra, a, tensor.TF32)
+		tensor.RoundSliceTo(rb, b, tensor.TF32)
+		pb64 := kern.PackPanelB64(b, n, k)
+		pb32 := kern.PackPanelB32(rb, n, k)
+		want64 := make([]float64, m*n)
+		want32 := make([]float64, m*n)
+		refMatMulT(want64, a, b, m, k, n)
+		tensor.MatMulTRounded(want32, ra, rb, m, k, n)
 
-	pb64 := kern.PackPanelB64(b, n, k)
-	whole := make([]float64, m*n)
-	kern.MatMulTPacked64(whole, a, pb64, m, k, n)
-	tiled := make([]float64, m*n)
-	buf := make([]float64, kern.MR*k)
-	for i0 := 0; i0 < m; i0 += kern.MR {
-		rows := kern.MR
-		if m-i0 < rows {
-			rows = m - i0
-		}
-		copy(buf[:rows*k], a[i0*k:(i0+rows)*k])
-		kern.MatMulTPacked64Rows(tiled, buf[:rows*k], pb64, i0, rows, k, n)
-	}
-	for i := range whole {
-		if math.Float64bits(whole[i]) != math.Float64bits(tiled[i]) {
-			t.Fatalf("f64 row-window elem %d = %x, want %x", i, tiled[i], whole[i])
-		}
-	}
-
-	ra := make([]float32, m*k)
-	rb := make([]float32, n*k)
-	tensor.RoundSliceTo(ra, a, tensor.TF32)
-	tensor.RoundSliceTo(rb, b, tensor.TF32)
-	pb32 := kern.PackPanelB32(rb, n, k)
-	whole32 := make([]float64, m*n)
-	kern.MatMulTPacked32(whole32, ra, pb32, m, k, n)
-	tiled32 := make([]float64, m*n)
-	buf32 := make([]float32, kern.MR*k)
-	for i0 := 0; i0 < m; i0 += kern.MR {
-		rows := kern.MR
-		if m-i0 < rows {
-			rows = m - i0
-		}
-		copy(buf32[:rows*k], ra[i0*k:(i0+rows)*k])
-		kern.MatMulTPacked32Rows(tiled32, buf32[:rows*k], pb32, i0, rows, k, n)
-	}
-	for i := range whole32 {
-		if math.Float64bits(whole32[i]) != math.Float64bits(tiled32[i]) {
-			t.Fatalf("f32 row-window elem %d = %x, want %x", i, tiled32[i], whole32[i])
+		for _, ks := range kern.KernelSets {
+			for _, win := range []int{1, 3, kern.MR, 5, 2 * kern.MR, 32} {
+				got64 := make([]float64, m*n)
+				got32 := make([]float64, m*n)
+				buf64 := make([]float64, win*k)
+				buf32 := make([]float32, win*k)
+				for i0 := 0; i0 < m; i0 += win {
+					rows := min(win, m-i0)
+					copy(buf64, a[i0*k:(i0+rows)*k])
+					ks.MatMulT64Rows(got64, buf64[:rows*k], pb64, i0, rows, k, n)
+					copy(buf32, ra[i0*k:(i0+rows)*k])
+					ks.MatMulT32Rows(got32, buf32[:rows*k], pb32, i0, rows, k, n)
+				}
+				diffCheck(t, ks.Name+" f64 row-window", want64, got64)
+				diffCheck(t, ks.Name+" f32 row-window", want32, got32)
+				if t.Failed() {
+					t.Fatalf("first failure at m=%d k=%d n=%d window=%d", m, k, n, win)
+				}
+			}
 		}
 	}
 }
@@ -150,40 +185,40 @@ func refMatMul(c, a, b []float64, m, k, n int) {
 	}
 }
 
-// TestMatMulBlocked64Bitwise checks the four-row-blocked backward matmul
-// against the ikj reference bitwise over ragged m/k/n, with zeros scattered
-// through A both row-wise (whole padded gradient rows, as pair padding
-// produces) and element-wise (exercising the ±0-addend path where one lane
-// of a live step is zero).
+// TestMatMulBlocked64Bitwise checks every kernel set's backward matmul
+// against the ikj reference bitwise over ragged m/k/n, with zeros through A
+// both row-wise (single padded gradient rows and whole zero MR blocks, as
+// pair padding produces — the skip paths) and element-wise (the ±0-addend
+// path where one lane of a live step is zero), plus -0 and subnormal
+// entries, on element-aligned sub-slices.
 func TestMatMulBlocked64Bitwise(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 19))
-	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33}
-	for _, m := range dims {
-		for _, k := range dims {
-			for _, n := range dims {
+	for _, m := range rowDims {
+		for _, k := range innerDims {
+			for _, n := range colDims {
 				a := make([]float64, m*k)
 				b := make([]float64, k*n)
-				fillNorm(rng, a)
-				fillNorm(rng, b)
+				fillSpecial(rng, a)
+				fillSpecial(rng, b)
 				for i := 0; i < m; i++ {
-					if i%5 == 2 { // whole zero row
+					if i%5 == 2 || i/kern.MR == 1 { // zero rows; rows 4..7 are a zero block
 						clear(a[i*k : (i+1)*k])
-						continue
-					}
-					for l := 0; l < k; l++ { // scattered zero elements
-						if (i*k+l)%7 == 3 {
-							a[i*k+l] = 0
-						}
 					}
 				}
 				want := make([]float64, m*n)
-				got := make([]float64, m*n)
 				refMatMul(want, a, b, m, k, n)
+				a, b = offset(a), offset(b)
+				got := offset(make([]float64, m*n))
+				for _, ks := range kern.KernelSets {
+					fillNorm(rng, got) // the kernel must overwrite, not accumulate
+					ks.MatMulBlocked64(got, a, b, m, k, n)
+					diffCheck(t, ks.Name, want, got)
+				}
+				fillNorm(rng, got)
 				kern.MatMulBlocked64(got, a, b, m, k, n)
-				for i := range want {
-					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-						t.Fatalf("m=%d k=%d n=%d: elem %d = %x, want %x", m, k, n, i, got[i], want[i])
-					}
+				diffCheck(t, "MatMulBlocked64", want, got)
+				if t.Failed() {
+					t.Fatalf("first failure at m=%d k=%d n=%d", m, k, n)
 				}
 			}
 		}
@@ -193,20 +228,21 @@ func TestMatMulBlocked64Bitwise(t *testing.T) {
 // TestPanelPadding checks the packed tail panel: padded columns are zero and
 // the live columns land j-major.
 func TestPanelPadding(t *testing.T) {
-	n, k := 5, 3 // one full panel + one panel with 1 live column
+	const nr = kern.NR64
+	n, k := nr+1, 3 // one full panel + one panel with 1 live column
 	b := make([]float64, n*k)
 	for i := range b {
 		b[i] = float64(i + 1)
 	}
 	pb := kern.PackPanelB64(b, n, k)
-	if want := kern.PanelLen(n, k); len(pb) != want {
+	if want := kern.PanelLen(n, k, nr); len(pb) != want {
 		t.Fatalf("panel len %d, want %d", len(pb), want)
 	}
 	for l := 0; l < k; l++ {
-		for t2 := 0; t2 < kern.NR; t2++ {
-			got := pb[kern.NR*k+l*kern.NR+t2] // second panel
+		for t2 := 0; t2 < nr; t2++ {
+			got := pb[nr*k+l*nr+t2] // second panel
 			var want float64
-			if j := kern.NR + t2; j < n {
+			if j := nr + t2; j < n {
 				want = b[j*k+l]
 			}
 			if got != want {
@@ -216,15 +252,35 @@ func TestPanelPadding(t *testing.T) {
 	}
 }
 
+// TestKernelSetSelected logs which kernel set the exported entry points run
+// on this host and, where the OS publishes the CPU flags, holds the
+// package's CPUID probe to them: a machine whose /proc/cpuinfo lists avx2
+// (the kernel drops the flag when it does not save the YMM state) must not
+// fall back to the portable set.
+func TestKernelSetSelected(t *testing.T) {
+	sel := kern.KernelSets[len(kern.KernelSets)-1].Name
+	t.Logf("kernel set: %s", sel)
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil || runtime.GOARCH != "amd64" {
+		return
+	}
+	if slices.Contains(strings.Fields(string(info)), "avx2") && sel != "avx2" {
+		t.Fatalf("/proc/cpuinfo lists avx2 but the %s kernel set was selected", sel)
+	}
+}
+
 func BenchmarkMatMulTKernels(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	// The plan's production MLP shape class: chunk rows by latent width.
 	m, k, n := 256, 64, 64
 	a := make([]float64, m*k)
 	w := make([]float64, n*k)
+	g := make([]float64, m*n)
 	fillNorm(rng, a)
 	fillNorm(rng, w)
+	fillNorm(rng, g)
 	c := make([]float64, m*n)
+	gx := make([]float64, m*k)
 	ra := make([]float32, m*k)
 	rw := make([]float32, n*k)
 	tensor.RoundSliceTo(ra, a, tensor.TF32)
@@ -238,12 +294,6 @@ func BenchmarkMatMulTKernels(b *testing.B) {
 			tensor.MatMulTRounded(c, ra, rw, m, k, n)
 		}
 	})
-	b.Run("packed32", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			kern.MatMulTPacked32(c, ra, pb32, m, k, n)
-		}
-	})
 	b.Run("ref64", func(b *testing.B) {
 		at := tensor.FromSlice(a, m, k)
 		wt := tensor.FromSlice(w, n, k)
@@ -253,10 +303,24 @@ func BenchmarkMatMulTKernels(b *testing.B) {
 			tensor.MatMulTInto(ct, at, wt, tensor.F64)
 		}
 	})
-	b.Run("packed64", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			kern.MatMulTPacked64(c, a, pb64, m, k, n)
-		}
-	})
+	for _, ks := range kern.KernelSets {
+		b.Run(ks.Name+"/packed32", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ks.MatMulT32Rows(c, ra, pb32, 0, m, k, n)
+			}
+		})
+		b.Run(ks.Name+"/packed64", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ks.MatMulT64Rows(c, a, pb64, 0, m, k, n)
+			}
+		})
+		b.Run(ks.Name+"/blocked64", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ks.MatMulBlocked64(gx, g, w, m, n, k)
+			}
+		})
+	}
 }
