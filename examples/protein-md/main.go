@@ -1,9 +1,6 @@
 // Protein MD: the Fig. 4 workflow — train Allegro on a solvated synthetic
 // protein and track backbone RMSD and temperature under NVT dynamics,
-// verifying the learned potential keeps the structure intact. The
-// production run uses the temporal-reuse engine plus r-RESPA
-// multi-timestepping and verifies, with an exact-model drift probe, that
-// the approximation stays inside its configured force/energy bounds.
+// verifying the learned potential keeps the structure intact.
 package main
 
 import (
@@ -14,7 +11,6 @@ import (
 	allegro "repro"
 	"repro/internal/analysis"
 	"repro/internal/data"
-	"repro/internal/perfmodel"
 )
 
 func main() {
@@ -50,15 +46,6 @@ func main() {
 
 	// NVT dynamics with backbone RMSD tracking (Fig. 4): the RMSD probe is
 	// an observer on the one simulation API instead of a hand-rolled loop.
-	// The engine is the gated one — centers whose environment drifted less
-	// than reuseEps replay cached force rows, and the stiff ZBL core
-	// integrates at dt/respaK between network evaluations.
-	const (
-		reuseEps       = 0.1   // A of accumulated environment drift per center
-		respaK         = 2     // inner ZBL sub-steps per outer step
-		maxForceDrift  = 2.0   // eV/A: probed per-component force bound
-		maxEnergyDrift = 0.008 // eV/atom: probed potential-energy bound
-	)
 	run := sys.Clone()
 	ref := make([][3]float64, len(backbone))
 	cur := make([][3]float64, len(backbone))
@@ -66,27 +53,17 @@ func main() {
 		ref[t] = run.Pos[i]
 	}
 	var rmsd analysis.Series
-	// The drift probe re-evaluates the exact model at states the gated
-	// trajectory visits, measuring the approximation itself rather than
-	// chaotic trajectory divergence.
-	probe := perfmodel.NewDriftProbe(model)
-	defer probe.Close()
-	var worst perfmodel.DriftSample
-	var sim *allegro.Simulation
-	sim, err = allegro.NewSimulation(run, model,
+	sim, err := allegro.NewSimulation(run, model,
 		allegro.WithTimestep(0.5),
 		allegro.WithTemperature(300),
 		allegro.WithSeed(5),
-		allegro.WithReuse(reuseEps),
-		allegro.WithRESPA(respaK),
 		allegro.WithObserver(20, func(r allegro.Report) {
 			for t, i := range backbone {
 				cur[t] = run.Pos[i]
 			}
 			rmsd.Append(r.Time, analysis.RMSD(ref, cur))
-			worst.Max(probe.Measure(run, sim.Forces(), r.PotentialEnergy))
-			fmt.Printf("t=%5.1f fs  RMSD=%.3f A  T=%.0f K  drift=%.3g eV/A\n",
-				r.Time, rmsd.Y[len(rmsd.Y)-1], r.Temperature, worst.MaxForceErrEvA)
+			fmt.Printf("t=%5.1f fs  RMSD=%.3f A  T=%.0f K\n",
+				r.Time, rmsd.Y[len(rmsd.Y)-1], r.Temperature)
 		}),
 	)
 	if err != nil {
@@ -96,15 +73,5 @@ func main() {
 	if err := sim.Run(context.Background(), 120); err != nil {
 		panic(err)
 	}
-	if rs, ok := sim.ReuseStats(); ok {
-		fmt.Printf("temporal reuse: %.0f%% of pair work served from cache (eps %.2f, RESPA k=%d)\n",
-			100*rs.ReuseFraction(), reuseEps, respaK)
-	}
-	if worst.MaxForceErrEvA > maxForceDrift || worst.EnergyErrEvAtom > maxEnergyDrift {
-		panic(fmt.Sprintf("reuse drift out of bounds: %.3g eV/A (max %.3g), %.3g eV/atom (max %.3g)",
-			worst.MaxForceErrEvA, maxForceDrift, worst.EnergyErrEvAtom, maxEnergyDrift))
-	}
-	fmt.Printf("drift within bounds: %.3g eV/A force, %.3g eV/atom energy\n",
-		worst.MaxForceErrEvA, worst.EnergyErrEvAtom)
 	fmt.Printf("backbone RMSD plateau: %.3f A (stable structure, cf. paper Fig. 4)\n", rmsd.TailMean(0.4))
 }

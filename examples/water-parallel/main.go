@@ -46,17 +46,16 @@ func main() {
 	serial := time.Since(t0)
 	fmt.Printf("serial:     E=%.6f eV in %6.1f ms\n", eSerial, serial.Seconds()*1e3)
 	for _, grid := range [][3]int{{2, 1, 1}, {2, 2, 1}} {
-		opts := domain.Options{Grid: grid, Halo: 3.0}
-		if err := opts.Validate(sys); err != nil {
+		t1 := time.Now()
+		rt, err := domain.NewRuntime(model, sys, domain.RuntimeOptions{Grid: grid, Halo: 3.0})
+		if err != nil {
 			fmt.Printf("grid %v: %v\n", grid, err)
 			continue
 		}
-		t1 := time.Now()
-		e, f, st, err := domain.Evaluate(sys, model, opts)
+		e, f := rt.EnergyForces(sys)
+		st := rt.Stats()
+		rt.Close()
 		el := time.Since(t1)
-		if err != nil {
-			panic(err)
-		}
 		maxDiff := 0.0
 		for i := range f {
 			for k := 0; k < 3; k++ {
@@ -66,7 +65,7 @@ func main() {
 			}
 		}
 		fmt.Printf("%d ranks %v: E=%.6f eV in %6.1f ms  |dE|=%.2g  max|dF|=%.2g  ghosts(max)=%d\n",
-			opts.NumRanks(), grid, e, el.Seconds()*1e3, math.Abs(e-eSerial), maxDiff, st.MaxGhosts)
+			rt.NumRanks(), grid, e, el.Seconds()*1e3, math.Abs(e-eSerial), maxDiff, st.MaxGhosts)
 	}
 
 	// End-to-end decomposed MD through the one simulation API: the same

@@ -34,7 +34,6 @@ type Value struct {
 	grad *tensor.Tensor
 	req  bool   // participates in differentiation
 	back backOp // pooled op accumulating into the grads of the inputs
-	tp   *Tape  // owning tape (gradient buffers come from its allocator)
 }
 
 // Grad returns the accumulated gradient tensor (nil until Backward runs, or
@@ -47,17 +46,14 @@ func (v *Value) RequiresGrad() bool { return v.req }
 // ensureGrad allocates the gradient buffer on demand.
 func (v *Value) ensureGrad() *tensor.Tensor {
 	if v.grad == nil {
-		v.grad = v.tp.Alloc(v.T.Shape...)
+		v.grad = tensor.New(v.T.Shape...)
 	}
 	return v.grad
 }
 
-// Tape records operations in execution order for reverse-mode replay.
-//
-// A tape built with NewTapeArena draws every activation, gradient, and node
-// from reusable arena/pool storage: Reset recycles it all, so an evaluation
-// pipeline that replays the same graph shapes step after step stops
-// allocating once warm (the Sec. V-C steady-state contract). Tapes are not
+// Tape records operations in execution order for reverse-mode replay. Nodes
+// and backward ops come from block pools, so a pass allocates per block of
+// ops rather than per op. A tape serves one forward/backward pass and is not
 // safe for concurrent use.
 type Tape struct {
 	vals []*Value
@@ -66,12 +62,11 @@ type Tape struct {
 	// Store is the activation storage precision applied after each op.
 	Store tensor.Precision
 
-	arena  *tensor.Arena // nil: plain heap allocation
-	blocks [][]Value     // pooled node storage (pointer-stable blocks)
+	blocks [][]Value // pooled node storage (pointer-stable blocks)
 	used   int
 	ops    opPools // pooled backward-op storage (no closures on the hot path)
 
-	// Reusable op scratch that persists across Reset (grown on demand).
+	// Reusable op scratch (grown on demand).
 	sphBuf    []float64
 	sphGBuf   [][3]float64
 	tpEntries []o3.TPEntry
@@ -87,37 +82,9 @@ func NewTape(compute, store tensor.Precision) *Tape {
 	return &Tape{Compute: compute, Store: store}
 }
 
-// NewTapeArena returns a tape whose tensors and gradients are carved from
-// arena. The caller owns the arena's lifetime; Reset on the tape resets the
-// arena too. Results (energies, forces, gradients) must be copied out before
-// the next Reset.
-func NewTapeArena(compute, store tensor.Precision, arena *tensor.Arena) *Tape {
-	return &Tape{Compute: compute, Store: store, arena: arena}
-}
-
-// Reset recycles the tape for a new forward pass: nodes and (if arena-backed)
-// all tensor storage become reusable. Values and gradients obtained from the
-// previous pass are invalidated.
-func (tp *Tape) Reset() {
-	tp.vals = tp.vals[:0]
-	tp.used = 0
-	tp.ops.reset()
-	if tp.arena != nil {
-		tp.arena.Reset()
-	}
-}
-
-// Alloc returns a zero-filled tensor from the tape's allocator.
-func (tp *Tape) Alloc(shape ...int) *tensor.Tensor {
-	if tp.arena != nil {
-		return tp.arena.New(shape...)
-	}
-	return tensor.New(shape...)
-}
-
-// cloneT returns a tape-allocated deep copy of t.
+// cloneT returns a deep copy of t.
 func (tp *Tape) cloneT(t *tensor.Tensor) *tensor.Tensor {
-	y := tp.Alloc(t.Shape...)
+	y := tensor.New(t.Shape...)
 	copy(y.Data, t.Data)
 	return y
 }
@@ -130,9 +97,7 @@ func (tp *Tape) newValue() *Value {
 		tp.blocks = append(tp.blocks, make([]Value, valueBlock))
 	}
 	tp.used++
-	v := &tp.blocks[blk][off]
-	*v = Value{tp: tp}
-	return v
+	return &tp.blocks[blk][off]
 }
 
 // Leaf registers an input tensor. If req is true, gradients with respect to
@@ -163,7 +128,7 @@ func (tp *Tape) store(t *tensor.Tensor) *tensor.Tensor { return t.Quantize(tp.St
 
 // Backward seeds the gradient of root (which must hold exactly one element)
 // with 1 and propagates adjoints through the tape in reverse order.
-// It may be called once per tape (once per Reset for pooled tapes).
+// It may be called once per tape.
 func (tp *Tape) Backward(root *Value) {
 	if root.T.Len() != 1 {
 		panic(fmt.Sprintf("ad: Backward root must be scalar, got shape %v", root.T.Shape))

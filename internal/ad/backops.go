@@ -8,25 +8,19 @@ import (
 )
 
 // backOp is the backward pass of one recorded operation. Ops are plain
-// structs drawn from per-kind pools on the tape instead of heap-allocated
-// closures: replaying the same graph shapes step after step reuses the same
-// pooled nodes, which is what makes a warm evaluation pipeline allocate
-// nothing at all — the property the persistent rank runtime's 0 allocs/op
-// steady-state contract rests on.
+// structs drawn from per-kind block pools on the tape instead of
+// heap-allocated closures, so recording a graph allocates one block per
+// opBlock ops of a kind rather than one closure per op.
 type backOp interface{ run() }
 
 // opBlock is the pool growth granularity.
 const opBlock = 64
 
-// opPool hands out pointer-stable pooled op structs; reset recycles them.
-// Recycled structs keep their previous field values, so every op site must
-// assign all fields it reads back.
+// opPool hands out pointer-stable pooled op structs.
 type opPool[T any] struct {
 	blocks [][]T
 	used   int
 }
-
-func (p *opPool[T]) reset() { p.used = 0 }
 
 func (p *opPool[T]) get() *T {
 	blk, off := p.used/opBlock, p.used%opBlock
@@ -63,31 +57,6 @@ type opPools struct {
 	tprod   opPool[tensorProdOp]
 }
 
-func (p *opPools) reset() {
-	p.linear.reset()
-	p.silu.reset()
-	p.tanh.reset()
-	p.add.reset()
-	p.sub.reset()
-	p.mul.reset()
-	p.scale.reset()
-	p.concat.reset()
-	p.slice.reset()
-	p.reshape.reset()
-	p.sum.reset()
-	p.wsum.reset()
-	p.gather.reset()
-	p.scatter.reset()
-	p.mulb.reset()
-	p.outer.reset()
-	p.norm.reset()
-	p.sph.reset()
-	p.bessel.reset()
-	p.polycut.reset()
-	p.envsum.reset()
-	p.tprod.reset()
-}
-
 // --- dense ops (ops.go) ---
 
 type linearOp struct {
@@ -99,13 +68,13 @@ func (op *linearOp) run() {
 	g := op.v.grad
 	if op.x.req {
 		// gX += g W
-		gx := op.v.tp.Alloc(op.n, op.in)
+		gx := tensor.New(op.n, op.in)
 		tensor.MatMulInto(gx, g, op.w.T, tensor.F64)
 		op.x.ensureGrad().AddInPlace(gx, tensor.F64)
 	}
 	if op.w.req {
 		// gW += g^T x
-		gw := op.v.tp.Alloc(op.out_, op.in)
+		gw := tensor.New(op.out_, op.in)
 		tensor.MatMulTransAInto(gw, g, op.x.T)
 		op.w.ensureGrad().AddInPlace(gw, tensor.F64)
 	}
@@ -537,10 +506,9 @@ type tensorProdOp struct {
 }
 
 func (op *tensorProdOp) run() {
-	tp := op.v.tp
-	gx := tp.Alloc(op.x.T.Shape...)
-	gy := tp.Alloc(op.y.T.Shape...)
-	gw := tp.Alloc(op.prod.NumPaths())
+	gx := tensor.New(op.x.T.Shape...)
+	gy := tensor.New(op.y.T.Shape...)
+	gw := tensor.New(op.prod.NumPaths())
 	op.prod.BackwardInto(op.x.T, op.y.T, op.v.grad, op.weights.T.Data, gx, gy, gw.Data)
 	if op.x.req {
 		op.x.ensureGrad().AddInPlace(gx, tensor.F64)

@@ -14,7 +14,7 @@ func (tp *Tape) Norm(rvec *Value) *Value {
 	if rvec.T.NDim() != 2 || rvec.T.Shape[1] != 3 {
 		panic("ad: Norm expects [Z,3]")
 	}
-	y := tp.Alloc(z, 1)
+	y := tensor.New(z, 1)
 	for i := 0; i < z; i++ {
 		r := rvec.T.Row(i)
 		y.Data[i] = math.Sqrt(r[0]*r[0] + r[1]*r[1] + r[2]*r[2])
@@ -31,7 +31,7 @@ func (tp *Tape) Norm(rvec *Value) *Value {
 func (tp *Tape) SphHarm(rvec *Value, lmax int) *Value {
 	z := rvec.T.Shape[0]
 	dim := o3.SphDim(lmax)
-	y := tp.Alloc(z, dim)
+	y := tensor.New(z, dim)
 	// Persistent scratch (survives Reset) plus a tape-allocated flat
 	// gradient table [z, dim*3] so steady-state passes allocate nothing.
 	if cap(tp.sphBuf) < dim {
@@ -42,7 +42,7 @@ func (tp *Tape) SphHarm(rvec *Value, lmax int) *Value {
 	gbuf := tp.sphGBuf[:dim]
 	var grads *tensor.Tensor
 	if rvec.req {
-		grads = tp.Alloc(z, dim*3)
+		grads = tensor.New(z, dim*3)
 	}
 	for i := 0; i < z; i++ {
 		rr := rvec.T.Row(i)
@@ -79,7 +79,7 @@ func (tp *Tape) Bessel(r *Value, rcuts []float64, nb int) *Value {
 	if len(rcuts) != z {
 		panic("ad: Bessel rcuts length mismatch")
 	}
-	y := tp.Alloc(z, nb)
+	y := tensor.New(z, nb)
 	for i := 0; i < z; i++ {
 		rv := r.T.Data[i]
 		rc := rcuts[i]
@@ -111,7 +111,7 @@ func (tp *Tape) PolyCutoff(r *Value, rcuts []float64, p int) *Value {
 	c1 := (fp + 1) * (fp + 2) / 2
 	c2 := fp * (fp + 2)
 	c3 := fp * (fp + 1) / 2
-	y := tp.Alloc(z, 1)
+	y := tensor.New(z, 1)
 	for i := 0; i < z; i++ {
 		x := r.T.Data[i] / rcuts[i]
 		if x >= 1 {
@@ -140,7 +140,7 @@ func (tp *Tape) EnvSum(w, y *Value, center []int, n int, scale float64) *Value {
 	if y.T.Shape[0] != z || len(center) != z {
 		panic("ad: EnvSum shape mismatch")
 	}
-	out := tp.Alloc(n, u, c)
+	out := tensor.New(n, u, c)
 	for zi := 0; zi < z; zi++ {
 		i := center[zi]
 		yRow := y.T.Row(zi)
@@ -172,7 +172,7 @@ func (tp *Tape) TensorProduct(prod *o3.TensorProduct, x, y, weights *Value, fuse
 	if weights.T.Len() != prod.NumPaths() {
 		panic(fmt.Sprintf("ad: TensorProduct got %d weights for %d paths", weights.T.Len(), prod.NumPaths()))
 	}
-	out := tp.Alloc(x.T.Dim(0), x.T.Dim(1), prod.Out.Width)
+	out := tensor.New(x.T.Dim(0), x.T.Dim(1), prod.Out.Width)
 	if fused != nil {
 		o3.ContractEntries(out.Data, x.T.Data, y.T.Data, x.T.Dim(0)*x.T.Dim(1),
 			prod.In1.Width, prod.In2.Width, prod.Out.Width, fused, tp.Compute)

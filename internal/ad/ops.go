@@ -18,7 +18,7 @@ func (tp *Tape) Linear(x, w, b *Value) *Value {
 	if w.T.Shape[1] != in {
 		panic(fmt.Sprintf("ad: Linear weight shape %v incompatible with input %v", w.T.Shape, x.T.Shape))
 	}
-	y := tp.Alloc(n, out)
+	y := tensor.New(n, out)
 	tensor.MatMulTIntoPooled(y, x.T, w.T, tp.Compute, &tp.mmScratch)
 	if b != nil {
 		for i := 0; i < n; i++ {
@@ -39,7 +39,7 @@ func (tp *Tape) Linear(x, w, b *Value) *Value {
 
 // SiLU applies x*sigmoid(x) elementwise.
 func (tp *Tape) SiLU(x *Value) *Value {
-	y := tp.Alloc(x.T.Shape...)
+	y := tensor.New(x.T.Shape...)
 	for i, v := range x.T.Data {
 		y.Data[i] = v / (1 + math.Exp(-v))
 	}
@@ -53,7 +53,7 @@ func (tp *Tape) SiLU(x *Value) *Value {
 
 // Tanh applies tanh elementwise.
 func (tp *Tape) Tanh(x *Value) *Value {
-	y := tp.Alloc(x.T.Shape...)
+	y := tensor.New(x.T.Shape...)
 	for i, v := range x.T.Data {
 		y.Data[i] = math.Tanh(v)
 	}
@@ -84,7 +84,7 @@ func (tp *Tape) Sub(a, b *Value) *Value {
 	if !a.T.SameShape(b.T) {
 		panic("ad: Sub shape mismatch")
 	}
-	y := tp.Alloc(a.T.Shape...)
+	y := tensor.New(a.T.Shape...)
 	for i := range y.Data {
 		y.Data[i] = tp.Store.Round(a.T.Data[i] - b.T.Data[i])
 	}
@@ -100,7 +100,7 @@ func (tp *Tape) Mul(a, b *Value) *Value {
 	if !a.T.SameShape(b.T) {
 		panic("ad: Mul shape mismatch")
 	}
-	y := tp.Alloc(a.T.Shape...)
+	y := tensor.New(a.T.Shape...)
 	for i := range y.Data {
 		y.Data[i] = tp.Store.Round(a.T.Data[i] * b.T.Data[i])
 	}
@@ -137,7 +137,7 @@ func (tp *Tape) Concat(xs ...*Value) *Value {
 		total += x.T.Shape[1]
 		req = req || x.req
 	}
-	y := tp.Alloc(n, total)
+	y := tensor.New(n, total)
 	off := 0
 	for _, x := range xs {
 		c := x.T.Shape[1]
@@ -166,7 +166,7 @@ func (tp *Tape) SliceLast(x *Value, lo, hi int) *Value {
 	var shape [maxRank]int
 	copy(shape[:], x.T.Shape[:nd-1])
 	shape[nd-1] = width
-	y := tp.Alloc(shape[:nd]...)
+	y := tensor.New(shape[:nd]...)
 	for r := 0; r < rows; r++ {
 		copy(y.Data[r*width:(r+1)*width], x.T.Data[r*last+lo:r*last+hi])
 	}
@@ -179,7 +179,7 @@ func (tp *Tape) SliceLast(x *Value, lo, hi int) *Value {
 
 // Reshape returns x with a new shape (copy semantics for gradient safety).
 func (tp *Tape) Reshape(x *Value, shape ...int) *Value {
-	y := tp.Alloc(shape...)
+	y := tensor.New(shape...)
 	if y.Len() != x.T.Len() {
 		// Element counts only: formatting the shape slice would make every
 		// caller's variadic argument escape to the heap.
@@ -201,7 +201,7 @@ func (tp *Tape) SumAll(x *Value) *Value {
 	for _, v := range x.T.Data {
 		s += v
 	}
-	y := tp.Alloc(1)
+	y := tensor.New(1)
 	y.Data[0] = s
 	v := tp.node(y, x.req)
 	op := tp.ops.sum.get()
@@ -220,7 +220,7 @@ func (tp *Tape) WeightedSumAll(x *Value, w []float64) *Value {
 	for i, v := range x.T.Data {
 		s += w[i] * v
 	}
-	y := tp.Alloc(1)
+	y := tensor.New(1)
 	y.Data[0] = s
 	v := tp.node(y, x.req)
 	op := tp.ops.wsum.get()
@@ -235,7 +235,7 @@ func (tp *Tape) GatherRows(x *Value, idx []int) *Value {
 	var shape [maxRank]int
 	shape[0] = len(idx)
 	copy(shape[1:], x.T.Shape[1:])
-	y := tp.Alloc(shape[:x.T.NDim()]...)
+	y := tensor.New(shape[:x.T.NDim()]...)
 	for z, i := range idx {
 		copy(y.Data[z*rowLen:(z+1)*rowLen], x.T.Data[i*rowLen:(i+1)*rowLen])
 	}
@@ -257,7 +257,7 @@ func (tp *Tape) ScatterAddRows(x *Value, idx []int, n int) *Value {
 	var shape [maxRank]int
 	shape[0] = n
 	copy(shape[1:], x.T.Shape[1:])
-	y := tp.Alloc(shape[:x.T.NDim()]...)
+	y := tensor.New(shape[:x.T.NDim()]...)
 	for z, i := range idx {
 		src := x.T.Data[z*rowLen : (z+1)*rowLen]
 		dst := y.Data[i*rowLen : (i+1)*rowLen]
@@ -281,7 +281,7 @@ func (tp *Tape) MulBroadcastLast(x, s *Value) *Value {
 	if s.T.Len() != rows {
 		panic(fmt.Sprintf("ad: MulBroadcastLast scale %v incompatible with %v", s.T.Shape, x.T.Shape))
 	}
-	y := tp.Alloc(x.T.Shape...)
+	y := tensor.New(x.T.Shape...)
 	for r := 0; r < rows; r++ {
 		sv := s.T.Data[r]
 		for j := 0; j < c; j++ {
@@ -302,7 +302,7 @@ func (tp *Tape) OuterMul(s, y *Value) *Value {
 	if y.T.Shape[0] != z {
 		panic("ad: OuterMul row mismatch")
 	}
-	out := tp.Alloc(z, u, c)
+	out := tensor.New(z, u, c)
 	for zi := 0; zi < z; zi++ {
 		yRow := y.T.Row(zi)
 		for ui := 0; ui < u; ui++ {

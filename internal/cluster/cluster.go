@@ -43,14 +43,6 @@ type Machine struct {
 	// per-step collective/sync term is not discounted — barriers cannot
 	// hide behind local work.
 	Overlap float64
-	// ReuseFraction is the fraction of pair work served from the
-	// temporal-reuse engine's cached contribution store (0 = every center
-	// recomputed every step): StepTime discounts the compute term to its
-	// recomputed remainder. Calibrate it from a measured reuse run with
-	// perfmodel.CalibrateMachineDecomposed; communication and sync terms
-	// are not discounted (ghost positions travel regardless of how many
-	// centers replay).
-	ReuseFraction float64
 	// LinkLatency/LinkBandwidth are measured per-link values populated by
 	// perfmodel.CalibrateMachineTransport from a live transport's heartbeat
 	// RTTs and byte counters (s and B/s). When positive they override the
@@ -119,12 +111,6 @@ func (m Machine) StepTime(w Workload, nodes int) float64 {
 		jfac = w.Jitter * math.Sqrt(math.Log(gpus/float64(m.GPUsPerNode)))
 	}
 	compute *= 1 + jfac
-	if rf := m.ReuseFraction; rf > 0 {
-		if rf > 1 {
-			rf = 1
-		}
-		compute *= 1 - rf // only the recomputed remainder of the pair work counts
-	}
 	// Halo exchange: ghost shell around each GPU's subdomain.
 	edge := math.Cbrt(atomsPerGPU / m.Density)
 	outer := edge + 2*m.Halo

@@ -213,7 +213,7 @@ func (m *Model) buildGraph(sys *atoms.System, pairs *neighbor.Pairs, train bool)
 	z := pairs.Len()
 
 	// Pair displacement leaf (forces flow into this).
-	rv := tape.Alloc(z, 3)
+	rv := tensor.New(z, 3)
 	for i := 0; i < z; i++ {
 		copy(rv.Row(i), pairs.Vec[i][:])
 	}
@@ -221,8 +221,8 @@ func (m *Model) buildGraph(sys *atoms.System, pairs *neighbor.Pairs, train bool)
 
 	// Species one-hot for (center, neighbor).
 	s := m.Idx.Len()
-	oneHot := tape.Alloc(z, 2*s)
-	sigma := tape.Alloc(z).Data
+	oneHot := tensor.New(z, 2*s)
+	sigma := tensor.New(z).Data
 	for i := 0; i < z; i++ {
 		ti := m.Idx.Index(sys.Species[pairs.I[i]])
 		tj := m.Idx.Index(sys.Species[pairs.J[i]])

@@ -61,15 +61,6 @@ type EvalScratch struct {
 	rowsOut    [][3]float64
 	pairEOut   []float64
 	evalRowsFn func(int)
-
-	// Partial-replay compaction scratch (EvaluateActiveRowsInto): the
-	// cached-contribution store's active sub-chunk — gathered pairs, their
-	// origin indices, and the compact row buffers the replay writes before
-	// scattering back into canonical order.
-	actPairs neighbor.Pairs
-	actSlot  []int32
-	actRows  [][3]float64
-	actPairE []float64
 }
 
 // workerEval is one worker's private evaluation state: Allegro's strict

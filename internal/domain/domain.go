@@ -15,15 +15,14 @@
 // The production path is the persistent Runtime: rank workers that keep
 // their neighbor lists (with a Verlet skin), ghost-exchange plans, and
 // evaluation arenas alive across MD steps, re-deriving them only when the
-// skin/2 displacement trigger fires. Evaluate is the one-shot convenience
-// wrapper over a transient Runtime.
+// skin/2 displacement trigger fires. A one-shot decomposed evaluation is
+// NewRuntime, EnergyForces, Stats and Close.
 package domain
 
 import (
 	"math"
 
 	"repro/internal/atoms"
-	"repro/internal/core"
 )
 
 // CenterPotential evaluates energy and forces counting only interactions
@@ -34,48 +33,6 @@ import (
 // the partition-identity tests rest on this interface.
 type CenterPotential interface {
 	EnergyForcesCentered(sys *atoms.System, owned []bool) (float64, [][3]float64)
-}
-
-// Options configures a one-shot decomposed evaluation (see RuntimeOptions
-// for the persistent runtime).
-type Options struct {
-	// Grid is the number of subdomains per dimension.
-	Grid [3]int
-	// Halo is the ghost-import distance (>= the potential's cutoff for
-	// correctness; the MPNN ablation uses multiples of the cutoff).
-	Halo float64
-}
-
-// Validate checks decomposition invariants against a system.
-func (o *Options) Validate(sys *atoms.System) error {
-	return validateRuntime(sys, RuntimeOptions{Grid: o.Grid, Halo: o.Halo})
-}
-
-// NumRanks returns the total rank count.
-func (o *Options) NumRanks() int { return o.Grid[0] * o.Grid[1] * o.Grid[2] }
-
-// Stats summarizes one decomposed evaluation.
-type Stats struct {
-	Energy     float64
-	MaxOwned   int
-	MaxGhosts  int
-	TotalGhost int
-}
-
-// Evaluate computes energy and forces of sys under m using the
-// decomposition described by opts: it constructs a Runtime, runs one step,
-// and tears it down, so the one-shot API shares the persistent code path
-// exactly. Steady-state loops should hold a Runtime (or use
-// allegro.NewSimulation with WithGrid) instead.
-func Evaluate(sys *atoms.System, m *core.Model, opts Options) (float64, [][3]float64, Stats, error) {
-	rt, err := NewRuntime(m, sys, RuntimeOptions{Grid: opts.Grid, Halo: opts.Halo})
-	if err != nil {
-		return 0, nil, Stats{}, err
-	}
-	defer rt.Close()
-	e, forces := rt.EnergyForces(sys)
-	st := rt.Stats()
-	return e, forces, Stats{Energy: e, MaxOwned: st.MaxOwned, MaxGhosts: st.MaxGhosts, TotalGhost: st.TotalGhost}, nil
 }
 
 // HaloVolumeFraction returns the analytic ratio of imported ghost volume to

@@ -36,23 +36,39 @@ func tinyModel(t *testing.T) *core.Model {
 	return m
 }
 
+// evaluateOnce is a one-shot decomposed evaluation: a transient Runtime is
+// built, stepped once and closed.
+func evaluateOnce(t *testing.T, m *core.Model, sys *atoms.System, opts RuntimeOptions) (float64, [][3]float64, RuntimeStats) {
+	t.Helper()
+	rt, err := NewRuntime(m, sys, opts)
+	if err != nil {
+		t.Fatalf("grid %v halo %g: %v", opts.Grid, opts.Halo, err)
+	}
+	defer rt.Close()
+	e, f := rt.EnergyForces(sys)
+	return e, f, rt.Stats()
+}
+
 func TestOptionsValidate(t *testing.T) {
+	m := tinyModel(t)
 	sys := atoms.NewSystem(1)
 	sys.PBC = true
 	sys.Cell = [3]float64{10, 10, 10}
-	bad := Options{Grid: [3]int{4, 1, 1}, Halo: 3.0} // subdomain 2.5 < halo
-	if err := bad.Validate(sys); err == nil {
+	bad := RuntimeOptions{Grid: [3]int{4, 1, 1}, Halo: 3.0} // subdomain 2.5 < halo
+	if _, err := NewRuntime(m, sys, bad); err == nil {
 		t.Fatal("halo larger than subdomain must be rejected")
 	}
 	nonpbc := atoms.NewSystem(1)
-	ok := Options{Grid: [3]int{1, 1, 1}, Halo: 1}
-	if err := ok.Validate(nonpbc); err == nil {
+	ok := RuntimeOptions{Grid: [3]int{2, 3, 4}, Halo: 1}
+	if _, err := NewRuntime(m, nonpbc, ok); err == nil {
 		t.Fatal("non-periodic system must be rejected")
 	}
-	if err := ok.Validate(sys); err != nil {
+	rt, err := NewRuntime(m, sys, ok)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if (&Options{Grid: [3]int{2, 3, 4}}).NumRanks() != 24 {
+	defer rt.Close()
+	if rt.NumRanks() != 24 {
 		t.Fatal("NumRanks wrong")
 	}
 }
@@ -97,11 +113,7 @@ func TestDecomposedMatchesSerial(t *testing.T) {
 	// subdomain 4.66 >= halo: valid.
 	eSerial, fSerial := m.EnergyForces(sys)
 	for _, grid := range [][3]int{{2, 1, 1}, {1, 2, 1}, {2, 2, 1}} {
-		opts := Options{Grid: grid, Halo: 3.0}
-		e, f, st, err := Evaluate(sys, m, opts)
-		if err != nil {
-			t.Fatalf("grid %v: %v", grid, err)
-		}
+		e, f, st := evaluateOnce(t, m, sys, RuntimeOptions{Grid: grid, Halo: 3.0})
 		if math.Abs(e-eSerial) > 1e-7 {
 			t.Fatalf("grid %v: energy %g != serial %g", grid, e, eSerial)
 		}
@@ -128,11 +140,7 @@ func TestInsufficientHaloBreaksForces(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	sys := data.WaterBox(rng, 3, 3, 3)
 	_, fSerial := m.EnergyForces(sys)
-	opts := Options{Grid: [3]int{2, 2, 2}, Halo: 1.2} // cutoff is 3.0
-	_, f, _, err := Evaluate(sys, m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, f, _ := evaluateOnce(t, m, sys, RuntimeOptions{Grid: [3]int{2, 2, 2}, Halo: 1.2}) // cutoff is 3.0
 	maxDiff := 0.0
 	for i := range fSerial {
 		for k := 0; k < 3; k++ {
@@ -150,14 +158,8 @@ func TestGhostCountGrowsWithHalo(t *testing.T) {
 	m := tinyModel(t)
 	rng := rand.New(rand.NewPCG(9, 10))
 	sys := data.WaterBox(rng, 3, 3, 3)
-	_, _, stSmall, err := Evaluate(sys, m, Options{Grid: [3]int{2, 1, 1}, Halo: 2.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, stBig, err := Evaluate(sys, m, Options{Grid: [3]int{2, 1, 1}, Halo: 4.0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, stSmall := evaluateOnce(t, m, sys, RuntimeOptions{Grid: [3]int{2, 1, 1}, Halo: 2.0})
+	_, _, stBig := evaluateOnce(t, m, sys, RuntimeOptions{Grid: [3]int{2, 1, 1}, Halo: 4.0})
 	if stBig.TotalGhost <= stSmall.TotalGhost {
 		t.Fatalf("ghost import should grow with halo: %d vs %d", stSmall.TotalGhost, stBig.TotalGhost)
 	}

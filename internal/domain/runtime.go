@@ -46,17 +46,6 @@ type RuntimeOptions struct {
 	// canonical slot arithmetic does not. Off runs the same phases
 	// bulk-synchronously.
 	Overlap bool
-	// ReuseEps enables displacement-gated temporal reuse: between rebuilds,
-	// a center whose accumulated environment-displacement bound stays at or
-	// under ReuseEps angstroms keeps its cached force rows and pair
-	// energies; only over-threshold centers re-evaluate (compacted through
-	// core.EvaluateActiveRowsInto). The bound is accumulated by the master
-	// from global positions and the canonical slot layout, so the active
-	// decision — like the rebuild schedule — is identical on every rank
-	// grid, and trajectories remain bit-identical across grids at any eps.
-	// Zero disables reuse (every center evaluates every step); requires a
-	// positive Skin to have any effect (a zero skin rebuilds every step).
-	ReuseEps float64
 	// Transport carries the ghost-position exchange and the reverse
 	// force-row reduction between ranks as framed messages. Nil selects the
 	// in-process channel transport (owned and closed by the runtime).
@@ -104,23 +93,6 @@ type RuntimeStats struct {
 	InteriorNs     int64
 	FrontierNs     int64
 	ReduceNs       int64
-
-	// Temporal-reuse counters (ReuseEps > 0): per-step active centers and
-	// their pair counts versus the totals. ActivePairs/PairSteps is the
-	// recomputed work fraction; its complement is the reuse fraction.
-	ActiveCenters int64
-	CenterSteps   int64
-	ActivePairs   int64
-	PairSteps     int64
-}
-
-// ReuseFraction reports the fraction of pair work served from the cached
-// contribution store (0 when reuse is disabled or no steps have run).
-func (s RuntimeStats) ReuseFraction() float64 {
-	if s.PairSteps == 0 {
-		return 0
-	}
-	return 1 - float64(s.ActivePairs)/float64(s.PairSteps)
 }
 
 // OverlapFraction reports how much of the forward ghost-exchange wall time
@@ -277,16 +249,6 @@ type Runtime struct {
 	readyInterior []int32 // atoms deliverable after the interior reduction
 	readyFrontier []int32 // atoms deliverable only after the frontier rows
 
-	// Temporal-reuse state (ReuseEps > 0): previous-step positions, the
-	// per-atom step displacements, the accumulated per-center environment
-	// bounds, and the active decision. fullStep marks steps where every
-	// center evaluates (rebuild steps), which also resets every bound.
-	prevPos      [][3]float64
-	dDisp        []float64
-	envB         []float64
-	activeCenter []bool
-	fullStep     bool
-
 	parity   int       // double-buffer half the current step's exchange fills
 	postTime time.Time // when the current step's exchange was posted
 
@@ -335,12 +297,6 @@ type rank struct {
 	scratch  *core.EvalScratch
 	rowsBuf  [][3]float64
 	pairEBuf []float64
-
-	// Temporal-reuse scratch (ReuseEps > 0): the master's active-center
-	// decision translated to local owned indices. rowsBuf/pairEBuf persist
-	// between steps, so inactive pairs keep their cached rows and the
-	// reverse exchange re-sends them unchanged.
-	activeLoc []bool
 
 	// Interior/frontier partition of the canonical local pair list: pairs
 	// [0, nInterior) form the interior block, the rest the frontier block.
@@ -453,12 +409,6 @@ func NewRuntime(m *core.Model, sys *atoms.System, opts RuntimeOptions) (*Runtime
 		readyInterior: make([]int32, 0, n),
 		readyFrontier: make([]int32, 0, n),
 	}
-	if opts.ReuseEps > 0 {
-		r.prevPos = make([][3]float64, n)
-		r.dDisp = make([]float64, n)
-		r.envB = make([]float64, n)
-		r.activeCenter = make([]bool, n)
-	}
 	nr := opts.Grid[0] * opts.Grid[1] * opts.Grid[2]
 	for k := 0; k < 3; k++ {
 		r.sub[k] = sys.Cell[k] / float64(opts.Grid[k])
@@ -537,9 +487,6 @@ func validateRuntime(sys *atoms.System, opts RuntimeOptions) error {
 	}
 	if opts.Skin < 0 {
 		return fmt.Errorf("domain: skin must be non-negative")
-	}
-	if opts.ReuseEps < 0 {
-		return fmt.Errorf("domain: reuse epsilon must be non-negative")
 	}
 	haloTot := opts.Halo + opts.Skin
 	for k := 0; k < 3; k++ {
@@ -677,9 +624,6 @@ func (r *Runtime) Grid() [3]int { return r.grid }
 // Overlapped reports whether the communication-hiding pipeline is enabled.
 func (r *Runtime) Overlapped() bool { return r.opts.Overlap }
 
-// ReuseEps returns the temporal-reuse tolerance (0 when reuse is disabled).
-func (r *Runtime) ReuseEps() float64 { return r.opts.ReuseEps }
-
 // PairWork reports the Verlet pairs evaluated per step, summed over ranks
 // (the workload term measurements normalize by).
 func (r *Runtime) PairWork() int { return r.stats.PairWork }
@@ -725,15 +669,11 @@ func (r *Runtime) EnergyForcesOverlap(sys *atoms.System, forces [][3]float64, re
 	}
 	r.wrap()
 	r.stepTick++
-	rebuilt := r.needRebuild()
-	if rebuilt {
+	if r.needRebuild() {
 		r.rebuild()
 		if r.err != nil {
 			return r.energy
 		}
-	}
-	if r.opts.ReuseEps > 0 {
-		r.prepareReuse(rebuilt)
 	}
 	r.forces = forces
 	r.parity ^= 1
@@ -900,74 +840,6 @@ func skinTriggered(skin float64, pos, ref [][3]float64) bool {
 		}
 	}
 	return false
-}
-
-// prepareReuse derives this step's active-center decision for the
-// displacement-gated reuse engine. Rebuild steps evaluate everything and
-// reset every bound. Between rebuilds the master advances each atom's
-// displacement since the previous step (global unwrapped positions — a
-// ghost's displacement equals its owner's, because image shifts are frozen
-// between rebuilds) and accumulates the per-center environment bound over
-// the canonical slot layout: own displacement plus the maximum neighbor
-// displacement. Centers over ReuseEps are marked active and their bounds
-// reset; everything here reads grid-invariant master state, so the decision
-// is identical on every rank grid.
-func (r *Runtime) prepareReuse(rebuilt bool) {
-	st := &r.stats
-	n := int64(r.n)
-	st.CenterSteps += n
-	st.PairSteps += int64(r.nPairs)
-	if rebuilt {
-		r.fullStep = true
-		for i := range r.envB {
-			r.envB[i] = 0
-		}
-		copy(r.prevPos, r.sys.Pos)
-		st.ActiveCenters += n
-		st.ActivePairs += int64(r.nPairs)
-		return
-	}
-	r.fullStep = false
-	neighbor.StepDisplacements(r.sys.Pos, r.prevPos, r.dDisp)
-	eps := r.opts.ReuseEps
-	var nact, npact int64
-	for i := 0; i < r.n; i++ {
-		m := 0.0
-		for z := r.pairStart[i]; z < r.pairStart[i+1]; z++ {
-			if dj := r.dDisp[r.pairGJ[z]]; dj > m {
-				m = dj
-			}
-		}
-		r.envB[i] += r.dDisp[i] + m
-		a := r.envB[i] > eps
-		r.activeCenter[i] = a
-		if a {
-			nact++
-			npact += int64(r.pairStart[i+1] - r.pairStart[i])
-		}
-	}
-	copy(r.prevPos, r.sys.Pos)
-	// Past ~5/8 active pair work, the compacted replay's power-of-two
-	// padding stops saving anything over the plain evaluation schedule, so
-	// take the exact full step and reset every bound. The threshold is a
-	// fraction of grid-invariant totals — not of any rank's share — so the
-	// decision stays identical on every grid.
-	if npact*8 >= int64(r.nPairs)*5 {
-		r.fullStep = true
-		for i := range r.envB {
-			r.envB[i] = 0
-		}
-		st.ActiveCenters += n
-		st.ActivePairs += int64(r.nPairs)
-		return
-	}
-	for i := 0; i < r.n; i++ {
-		if r.activeCenter[i] {
-			r.envB[i] = 0
-		}
-	}
-	st.ActiveCenters += nact
-	st.ActivePairs += npact
 }
 
 // rankOf maps a wrapped position to its owning rank.
@@ -1245,12 +1117,6 @@ func (rk *rank) execRebuild() {
 		rk.slotOf = make([]int32, p.Len())
 	}
 	rk.slotOf = rk.slotOf[:p.Len()]
-	if rt.opts.ReuseEps > 0 {
-		if cap(rk.activeLoc) < rk.nOwned {
-			rk.activeLoc = make([]bool, rk.nOwned)
-		}
-		rk.activeLoc = rk.activeLoc[:rk.nOwned]
-	}
 }
 
 // pairsView carves the [lo,hi) sub-list of p as an aliasing Pairs value
@@ -1361,10 +1227,6 @@ func (rk *rank) execEval(lo, hi int, view *neighbor.Pairs) {
 		return
 	}
 	rt := rk.rt
-	if rt.opts.ReuseEps > 0 && !rt.fullStep {
-		rk.execEvalActive(lo, hi, view)
-		return
-	}
 	for t := lo; t < hi; t++ {
 		rk.refreshPair(t)
 	}
@@ -1399,32 +1261,6 @@ func (rk *rank) refreshPair(t int) {
 	}
 	p.Vec[t] = d
 	p.Dist[t] = math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
-}
-
-// execEvalActive is the temporal-reuse variant of execEval: refresh and
-// re-evaluate only the pairs whose center the master marked active (the
-// compacted partial replay of core.EvaluateActiveRowsInto), leaving every
-// other pair's cached row in rowsBuf and in its canonical slot untouched.
-func (rk *rank) execEvalActive(lo, hi int, view *neighbor.Pairs) {
-	rt := rk.rt
-	for t := 0; t < rk.nOwned; t++ {
-		rk.activeLoc[t] = rt.activeCenter[rk.gOf[t]]
-	}
-	p := &rk.pairs
-	for t := lo; t < hi; t++ {
-		if rk.activeLoc[p.I[t]] {
-			rk.refreshPair(t)
-		}
-	}
-	rt.model.EvaluateActiveRowsInto(rk.scratch, rk.local, view, rk.activeLoc, rk.rowsBuf[lo:hi], rk.pairEBuf[lo:hi])
-	for t := lo; t < hi; t++ {
-		if !rk.activeLoc[p.I[t]] {
-			continue
-		}
-		s := rk.slotOf[t]
-		rt.rows[s] = rk.rowsBuf[t]
-		rt.pairE[s] = rk.pairEBuf[t]
-	}
 }
 
 // execReduce computes the listed owned atoms' forces from the global rows

@@ -176,8 +176,8 @@ func TestRuntimeStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestRuntimeValidation covers the runtime-specific invariants beyond the
-// legacy Options checks.
+// TestRuntimeValidation covers the skin invariants beyond the halo and
+// periodicity checks of TestOptionsValidate.
 func TestRuntimeValidation(t *testing.T) {
 	m := tinyModel(t)
 	sys := data.WaterBox(rand.New(rand.NewPCG(61, 62)), 3, 3, 3)
@@ -211,10 +211,7 @@ func TestRuntimeEmptyRank(t *testing.T) {
 	sys.Cell[0] *= 2
 	eSerial, fSerial := m.EnergyForces(sys)
 
-	e, f, st, err := Evaluate(sys, m, Options{Grid: [3]int{2, 1, 1}, Halo: 3.0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, f, st := evaluateOnce(t, m, sys, RuntimeOptions{Grid: [3]int{2, 1, 1}, Halo: 3.0})
 	if diff := e - eSerial; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("energy with an empty rank: %.12g vs serial %.12g", e, eSerial)
 	}

@@ -15,7 +15,10 @@ import (
 
 // newLocalTCPGroup builds an n-rank TCP world on ephemeral localhost ports,
 // all inside this process, composed into one Transport via transport.Group
-// — the exact wire path of a multi-node run, minus process boundaries.
+// — the exact wire path of a multi-node run, minus process boundaries. The
+// group is closed when the test ends: a Runtime handed a transport does not
+// own it, and an open TCP member keeps heartbeat and reader goroutines
+// allocating under every later test's AllocsPerRun.
 func newLocalTCPGroup(t *testing.T, n int) transport.Transport {
 	t.Helper()
 	listeners := make([]net.Listener, n)
@@ -40,7 +43,9 @@ func newLocalTCPGroup(t *testing.T, n int) transport.Transport {
 		}
 		members[r] = tr
 	}
-	return transport.NewGroup(members...)
+	g := transport.NewGroup(members...)
+	t.Cleanup(func() { g.Close() })
+	return g
 }
 
 // TestRuntimeTrajectoryBitwiseAcrossTransports is the transport-layer

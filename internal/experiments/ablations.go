@@ -98,13 +98,15 @@ func AblateLocality(scale Scale, seed uint64) *Report {
 	eSerial, fSerial := m.EnergyForces(sys)
 	serialTime := time.Since(t0)
 
-	opts := domain.Options{Grid: [3]int{2, 1, 1}, Halo: 3.0}
 	t1 := time.Now()
-	ePar, fPar, st, err := domain.Evaluate(sys, m, opts)
-	parTime := time.Since(t1)
+	rt, err := domain.NewRuntime(m, sys, domain.RuntimeOptions{Grid: [3]int{2, 1, 1}, Halo: 3.0})
 	if err != nil {
 		panic(err)
 	}
+	ePar, fPar := rt.EnergyForces(sys)
+	st := rt.Stats()
+	rt.Close()
+	parTime := time.Since(t1)
 	maxDiff := math.Abs(ePar - eSerial)
 	var maxF float64
 	for i := range fSerial {
@@ -120,7 +122,7 @@ func AblateLocality(scale Scale, seed uint64) *Report {
 		Header: []string{"quantity", "value"},
 	}
 	r.AddRow("atoms", fmt.Sprintf("%d", sys.NumAtoms()))
-	r.AddRow("ranks", fmt.Sprintf("%d (GOMAXPROCS=%d)", opts.NumRanks(), runtime.GOMAXPROCS(0)))
+	r.AddRow("ranks", fmt.Sprintf("%d (GOMAXPROCS=%d)", rt.NumRanks(), runtime.GOMAXPROCS(0)))
 	r.AddRow("|dE| serial vs decomposed", fmt.Sprintf("%.3g eV", maxDiff))
 	r.AddRow("max |dF| serial vs decomposed", fmt.Sprintf("%.3g eV/A", maxF))
 	r.AddRow("serial wall time", fmt.Sprintf("%.1f ms", serialTime.Seconds()*1e3))

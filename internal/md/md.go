@@ -204,13 +204,6 @@ type Sim struct {
 	inPlace   InPlacePotential   // non-nil: reuse Forces across steps
 	pipelined PipelinedPotential // non-nil: stream the second half-kick
 	kickFn    func([]int32)      // hoisted ready callback (allocation-free)
-
-	// RESPA multi-timestepping state (EnableRESPA): the fast inner
-	// potential integrated at dt/respaK and its force buffer. respaK <= 1
-	// leaves the plain velocity-Verlet step untouched.
-	respaK int
-	inner  InPlacePotential
-	fInner [][3]float64
 }
 
 // NewSim prepares a simulation; forces are evaluated once at construction.
@@ -262,11 +255,6 @@ func (s *Sim) RecomputeForces() {
 	} else {
 		s.Energy, s.Forces = s.Pot.EnergyForces(s.Sys)
 	}
-	if s.inner != nil {
-		// Keep the RESPA inner force consistent with the current positions
-		// (checkpoint resume lands here too).
-		s.inner.EnergyForcesInto(s.Sys, s.fInner)
-	}
 }
 
 // SetState overwrites the integrator state — positions, velocities, step
@@ -316,10 +304,6 @@ func (s *Sim) RemoveDrift() {
 // independent, and the thermostat runs after every force is final, so its
 // RNG stream is untouched).
 func (s *Sim) Step() {
-	if s.respaK > 1 {
-		s.stepRESPA()
-		return
-	}
 	dt := s.Dt
 	// Half kick + drift.
 	for i := range s.Vel {

@@ -83,8 +83,6 @@ type simSetup struct {
 	observers     []obsEntry
 	trajW         io.Writer
 	trajEvery     int
-	respaK        int
-	respaInner    InPlacePotential
 	err           error
 }
 
@@ -170,25 +168,6 @@ func WithTrajectoryWriter(w io.Writer, every int) SimOption {
 	}
 }
 
-// WithRESPA enables r-RESPA multi-timestepping: k inner sub-steps of the
-// fast potential per outer step (see Sim.EnableRESPA). k = 1 disables
-// multi-timestepping and leaves the plain integrator untouched; k > 1
-// requires a non-nil inner potential.
-func WithRESPA(k int, inner InPlacePotential) SimOption {
-	return func(s *simSetup) {
-		if k < 1 {
-			s.fail("md: RESPA sub-step count must be >= 1, got %d", k)
-			return
-		}
-		if k > 1 && inner == nil {
-			s.fail("md: RESPA with k=%d requires an inner potential", k)
-			return
-		}
-		s.respaK = k
-		s.respaInner = inner
-	}
-}
-
 // NewSimulation constructs the engine over sys and pot. Forces are
 // evaluated once at construction (warming the potential's buffers); the
 // in-place fast path and the legacy NewSim integrator are shared, so
@@ -209,9 +188,6 @@ func NewSimulation(sys *atoms.System, pot Potential, opts ...SimOption) (*Simula
 		trajEvery: setup.trajEvery,
 	}
 	s.sim = NewSim(sys, pot, setup.dt)
-	if setup.respaK > 1 {
-		s.sim.EnableRESPA(setup.respaK, setup.respaInner)
-	}
 	th := setup.thermostat
 	if !setup.thermostatSet && setup.tempK > 0 {
 		th = &Langevin{TempK: setup.tempK, Gamma: DefaultLangevinGamma, Rng: s.rng}

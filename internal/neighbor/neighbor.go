@@ -192,8 +192,8 @@ func (p *Pairs) Validate() error { return p.ValidateSkin(0, nil, nil) }
 // verifies that every real pair's recorded Cut equals the builder's true
 // ordered cutoff cuts.Rc[species(I)][species(J)] — skin pairs in particular
 // must carry the genuine cutoff (and a zero envelope), not the inflated
-// admission radius, because the temporal-reuse displacement bound and the
-// PolyCutoff clamp both depend on it.
+// admission radius, because the PolyCutoff clamp and the ZBL gate both
+// depend on it.
 func (p *Pairs) ValidateSkin(skin float64, sys *atoms.System, cuts *CutoffTable) error {
 	if len(p.J) != len(p.I) || len(p.Vec) != len(p.I) || len(p.Dist) != len(p.I) || len(p.Cut) != len(p.I) {
 		return fmt.Errorf("neighbor: ragged pair arrays")

@@ -111,15 +111,6 @@ func NewBinder(tape *ad.Tape, train bool) *Binder {
 	return &Binder{Tape: tape, Train: train, leaves: map[*tensor.Tensor]*ad.Value{}}
 }
 
-// Reset re-targets the binder at a (possibly recycled) tape and clears the
-// leaf cache. The map's storage is kept, so rebinding the same parameters
-// in a steady-state loop does not allocate.
-func (b *Binder) Reset(tape *ad.Tape, train bool) {
-	b.Tape = tape
-	b.Train = train
-	clear(b.leaves)
-}
-
 // Bind returns the (cached) leaf for parameter tensor t.
 func (b *Binder) Bind(t *tensor.Tensor) *ad.Value {
 	if v, ok := b.leaves[t]; ok {

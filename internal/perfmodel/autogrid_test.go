@@ -57,14 +57,17 @@ func TestAutoGridDegenerateCases(t *testing.T) {
 }
 
 // TestAutoGridValidForRuntime feeds the picked grid into the runtime
-// validator: whatever AutoGrid returns must construct.
+// constructor: whatever AutoGrid returns must construct.
 func TestAutoGridValidForRuntime(t *testing.T) {
+	m, _ := measuredFixture(t) // cutoff 3 A
 	rng := rand.New(rand.NewPCG(3, 4))
 	for _, nx := range []int{3, 4, 5} {
 		sys := data.WaterBox(rng, nx, nx, 3)
 		grid := AutoGrid(sys, 3.0, 0.5, 16)
-		if err := (&domain.Options{Grid: grid, Halo: 3.0 + 0.5}).Validate(sys); err != nil {
+		rt, err := domain.NewRuntime(m, sys, domain.RuntimeOptions{Grid: grid, Halo: 3.0, Skin: 0.5})
+		if err != nil {
 			t.Fatalf("nx=%d grid %v rejected: %v", nx, grid, err)
 		}
+		rt.Close()
 	}
 }

@@ -130,26 +130,15 @@ type DecomposedMeasurement struct {
 	// hidden). It feeds CalibrateMachineDecomposed, which discounts the
 	// analytic cluster model's communication term accordingly.
 	OverlapFraction float64
-	// ReuseFraction is the measured share of pair work served from the
-	// temporal-reuse cache over the timed window (0 when reuse is
-	// disabled). Note that fixed-position measurement windows overstate
-	// steady-trajectory reuse — nothing moves, so after the warm-up steps
-	// every center reuses; trajectory-based A/B runs (allegro-bench
-	// -reuse) are the honest speedup measurement.
-	ReuseFraction float64
 }
 
 // String renders the decomposed measurement for reports.
 func (m DecomposedMeasurement) String() string {
-	s := fmt.Sprintf("measured decomposed: %d ranks, %d atoms, %d pairs: %.3g pairs/s (%.3g per rank), %.0f allocs/op, ghosts %d B fwd + %d B rev per step, %d rebuilds/%d steps, phases xchg %d + int %d + front %d + red %d ns/step, overlap %.0f%%",
+	return fmt.Sprintf("measured decomposed: %d ranks, %d atoms, %d pairs: %.3g pairs/s (%.3g per rank), %.0f allocs/op, ghosts %d B fwd + %d B rev per step, %d rebuilds/%d steps, phases xchg %d + int %d + front %d + red %d ns/step, overlap %.0f%%",
 		m.Ranks, m.Atoms, m.Pairs, m.PairsPerSec, m.PairsPerSecRank, m.AllocsPerOp,
 		m.ForwardBytesStep, m.ReverseBytesStep, m.Rebuilds, m.Steps,
 		m.ExchangeNsStep, m.InteriorNsStep, m.FrontierNsStep, m.ReduceNsStep,
 		100*m.OverlapFraction)
-	if m.ReuseFraction > 0 {
-		s += fmt.Sprintf(", reuse %.0f%%", 100*m.ReuseFraction)
-	}
-	return s
 }
 
 // MeasureDecomposed runs `steps` steady-state force calls through a fresh
@@ -198,9 +187,6 @@ func MeasureRuntime(rt *domain.Runtime, sys *atoms.System, steps int) Decomposed
 		CommWallNs:     st.CommWallNs - pre.CommWallNs,
 	}
 	meas.OverlapFraction = window.OverlapFraction()
-	if dp := st.PairSteps - pre.PairSteps; dp > 0 {
-		meas.ReuseFraction = 1 - float64(st.ActivePairs-pre.ActivePairs)/float64(dp)
-	}
 	return meas
 }
 
@@ -220,9 +206,8 @@ func CalibrateMachine(mach cluster.Machine, meas Measurement) cluster.Machine {
 // measurement: the per-atom compute time as in CalibrateMachine, plus the
 // measured overlap fraction of the communication-hiding pipeline, which
 // discounts the analytic ghost-exchange term to its exposed remainder in
-// Machine.StepTime, and the measured reuse fraction. A degenerate
-// measurement (no compute anchor) changes nothing: its overlap and reuse
-// fractions belong to a step time it did not measure.
+// Machine.StepTime. A degenerate measurement (no compute anchor) changes
+// nothing: its overlap fraction belongs to a step time it did not measure.
 func CalibrateMachineDecomposed(mach cluster.Machine, meas DecomposedMeasurement) cluster.Machine {
 	if meas.TimePerAtom <= 0 {
 		return mach
@@ -230,9 +215,6 @@ func CalibrateMachineDecomposed(mach cluster.Machine, meas DecomposedMeasurement
 	mach = CalibrateMachine(mach, meas.Measurement)
 	if meas.OverlapFraction > 0 {
 		mach.Overlap = meas.OverlapFraction
-	}
-	if meas.ReuseFraction > 0 {
-		mach.ReuseFraction = meas.ReuseFraction
 	}
 	return mach
 }

@@ -29,11 +29,8 @@ type (
 	// Potential is anything returning total energy and per-atom forces.
 	Potential = md.Potential
 	// RuntimeStats aggregates the decomposed backend's behaviour (rebuild
-	// cadence, migrations, ghost-exchange volume, reuse counters).
+	// cadence, migrations, ghost-exchange volume, phase timers).
 	RuntimeStats = domain.RuntimeStats
-	// ReuseStats counts the serial reuse engine's gated work (see WithReuse);
-	// the decomposed backend reports the same counters through RuntimeStats.
-	ReuseStats = core.ReuseStats
 )
 
 // DefaultSkin is the Verlet skin (A) of the decomposed backend when
@@ -57,28 +54,24 @@ type Simulation struct {
 	*md.Simulation
 
 	model     *Model
-	evaluator *core.Evaluator      // serial backend (nil when decomposed or reusing)
-	reuse     *core.ReuseEvaluator // serial temporal-reuse backend (WithReuse)
-	runtime   *domain.Runtime      // decomposed backend (nil when serial)
-	inner     *core.ZBLPotential   // RESPA inner potential (WithRESPA)
+	evaluator *core.Evaluator // serial backend (nil when decomposed)
+	runtime   *domain.Runtime // decomposed backend (nil when serial)
 	closed    bool
 }
 
 // simConfig accumulates functional options before backend dispatch.
 type simConfig struct {
-	engine   []md.SimOption
-	grid     [3]int
-	gridSet  bool
-	auto     bool
-	overlap  bool
-	profile  *core.KernelProfile
-	skin     float64
-	halo     float64
-	workers  int
-	reuseEps float64
-	respaK   int
-	extras   []Potential
-	err      error
+	engine  []md.SimOption
+	grid    [3]int
+	gridSet bool
+	auto    bool
+	overlap bool
+	profile *core.KernelProfile
+	skin    float64
+	halo    float64
+	workers int
+	extras  []Potential
+	err     error
 }
 
 // Option configures NewSimulation.
@@ -212,45 +205,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithReuse enables displacement-gated temporal reuse with tolerance eps
-// (angstroms): between neighbor-list rebuilds, a center whose accumulated
-// environment-displacement bound stays at or under eps keeps its cached
-// force rows and pair energies, and only over-threshold centers replay
-// through the compiled plans. The bound is sound — every pair distance of a
-// reused center has drifted at most eps — so eps directly caps the
-// geometry staleness behind each force; per-step force drift against the
-// exact engine stays well below the thermal force scale for eps of a few
-// hundredths of an angstrom. eps = 0 disables reuse and runs the exact
-// engine (bit-identical to omitting the option). On the decomposed backend
-// the active decision is derived from grid-invariant master state, so
-// trajectories remain bit-identical across rank grids at any eps.
-func WithReuse(eps float64) Option {
-	return func(c *simConfig) {
-		if eps < 0 {
-			c.fail("allegro: reuse epsilon must be non-negative, got %g", eps)
-			return
-		}
-		c.reuseEps = eps
-	}
-}
-
-// WithRESPA enables r-RESPA multi-timestepping with k inner sub-steps per
-// outer step: the model's short-range ZBL core repulsion — the stiffest
-// term in the dynamics — integrates at dt/k on its own tiny clamped-cutoff
-// neighbor list, while the expensive network force evaluates once per outer
-// step and kicks only the smooth remainder. k = 1 disables
-// multi-timestepping (bit-identical to omitting the option). Composes with
-// WithReuse and with both backends.
-func WithRESPA(k int) Option {
-	return func(c *simConfig) {
-		if k < 1 {
-			c.fail("allegro: RESPA sub-step count must be >= 1, got %d", k)
-			return
-		}
-		c.respaK = k
-	}
-}
-
 // WithExtraPotential adds a potential term on top of the model — e.g. the
 // Wolf-summation long-range electrostatics extension (NewWaterLongRange).
 // Terms compose through the in-place md.Combined path, so the fast path is
@@ -319,22 +273,12 @@ func NewSimulation(sys *System, model *Model, opts ...Option) (*Simulation, erro
 			Halo:           cfg.halo,
 			WorkersPerRank: cfg.workers,
 			Overlap:        cfg.overlap,
-			ReuseEps:       cfg.reuseEps,
 		})
 		if err != nil {
 			return nil, err
 		}
 		s.runtime = rt
 		pot = rt
-	case cfg.reuseEps > 0:
-		re := core.NewReuseEvaluator(model, cfg.reuseEps)
-		re.Skin = cfg.skin
-		if cfg.workers != 0 {
-			re.Scratch.Workers = cfg.workers
-		}
-		re.Scratch.Profile = cfg.profile
-		s.reuse = re
-		pot = re
 	default:
 		ev := core.NewEvaluator(model)
 		if cfg.workers != 0 {
@@ -352,13 +296,7 @@ func NewSimulation(sys *System, model *Model, opts ...Option) (*Simulation, erro
 		mdPot = comb
 	}
 
-	engineOpts := cfg.engine
-	if cfg.respaK > 1 {
-		s.inner = core.NewZBLPotential(model)
-		engineOpts = append(engineOpts, md.WithRESPA(cfg.respaK, s.inner))
-	}
-
-	eng, err := md.NewSimulation(sys, mdPot, engineOpts...)
+	eng, err := md.NewSimulation(sys, mdPot, cfg.engine...)
 	if err != nil {
 		s.closeBackend()
 		return nil, err
@@ -367,20 +305,13 @@ func NewSimulation(sys *System, model *Model, opts ...Option) (*Simulation, erro
 	return s, nil
 }
 
-// closeBackend releases whichever force backend was constructed, plus the
-// RESPA inner potential when attached.
+// closeBackend releases whichever force backend was constructed.
 func (s *Simulation) closeBackend() {
 	if s.runtime != nil {
 		s.runtime.Close()
 	}
 	if s.evaluator != nil {
 		s.evaluator.Close()
-	}
-	if s.reuse != nil {
-		s.reuse.Close()
-	}
-	if s.inner != nil {
-		s.inner.Close()
 	}
 }
 
@@ -446,37 +377,6 @@ func (s *Simulation) Stats() (st RuntimeStats, ok bool) {
 	return s.runtime.Stats(), true
 }
 
-// Reusing reports whether displacement-gated temporal reuse is active on
-// this simulation's backend (see WithReuse).
-func (s *Simulation) Reusing() bool {
-	if s.runtime != nil {
-		return s.runtime.ReuseEps() > 0
-	}
-	return s.reuse != nil
-}
-
-// ReuseStats returns the reuse engine's cumulative counters; ok is false
-// when reuse is disabled. Both backends report through the same type: the
-// serial engine natively, the decomposed one by projecting its
-// RuntimeStats counters.
-func (s *Simulation) ReuseStats() (st ReuseStats, ok bool) {
-	if s.reuse != nil {
-		return s.reuse.Stats(), true
-	}
-	if s.runtime != nil && s.runtime.ReuseEps() > 0 {
-		rs := s.runtime.Stats()
-		return ReuseStats{
-			Steps:         int64(rs.Steps),
-			FullEvals:     int64(rs.Rebuilds),
-			ActiveCenters: rs.ActiveCenters,
-			CenterSteps:   rs.CenterSteps,
-			ActivePairs:   rs.ActivePairs,
-			PairSteps:     rs.PairSteps,
-		}, true
-	}
-	return ReuseStats{}, false
-}
-
 // Measure times `steps` steady-state force calls of the simulation's
 // backend without advancing the trajectory (positions are untouched) and
 // reports achieved throughput, allocation rate, and — on the decomposed
@@ -490,19 +390,6 @@ func (s *Simulation) Measure(steps int) perfmodel.DecomposedMeasurement {
 	}
 	if s.runtime != nil {
 		return perfmodel.MeasureRuntime(s.runtime, s.System(), steps)
-	}
-	if s.reuse != nil {
-		pre := s.reuse.Stats()
-		meas := perfmodel.DecomposedMeasurement{
-			Measurement: perfmodel.MeasurePotential(s.reuse, s.System(), steps, par.Workers(1, 0)),
-			Ranks:       1,
-		}
-		meas.PairsPerSecRank = meas.PairsPerSec
-		st := s.reuse.Stats()
-		if dp := st.PairSteps - pre.PairSteps; dp > 0 {
-			meas.ReuseFraction = 1 - float64(st.ActivePairs-pre.ActivePairs)/float64(dp)
-		}
-		return meas
 	}
 	req := s.evaluator.Scratch.Workers
 	if req == 0 {

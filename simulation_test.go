@@ -11,6 +11,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/domain"
 	"repro/internal/md"
+	"repro/internal/perfmodel"
 )
 
 // testModelAndBox builds the small Allegro model and relaxed water box the
@@ -387,5 +388,38 @@ func TestSimulationOverlapBitIdentical(t *testing.T) {
 	meas := ovSim.Measure(3)
 	if meas.OverlapFraction < 0 || meas.OverlapFraction > 1 {
 		t.Fatalf("measured overlap fraction %g out of [0,1]", meas.OverlapFraction)
+	}
+}
+
+// TestDriftProbeExactEngineIsZero pins the zero point of the drift probe
+// (the model-vs-reference comparison behind the benchmark's force-error
+// rows): probing the serial engine against its own model, at the states its
+// trajectory visited, reads exactly zero force and energy deviation — the
+// probe and the engine evaluate the same model the same way. The decomposed
+// backend orders each center's pairs differently from the serial neighbor
+// list, so against the serial probe it reads accumulation-order noise only.
+func TestDriftProbeExactEngineIsZero(t *testing.T) {
+	model, box := testModelAndBox(t)
+	probe := perfmodel.NewDriftProbe(model)
+	defer probe.Close()
+	for _, c := range []struct {
+		opts []Option
+		tol  float64 // eV/A and eV/atom
+	}{
+		{[]Option{WithWorkers(1)}, 0},
+		{[]Option{WithGrid(2, 1, 1)}, 1e-12},
+	} {
+		sim, err := NewSimulation(box.Clone(), model, append(c.opts, WithTemperature(300), WithSeed(3))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(context.Background(), 5); err != nil {
+			t.Fatal(err)
+		}
+		s := probe.Measure(sim.System(), sim.Forces(), sim.Report().PotentialEnergy)
+		if s.MaxForceErrEvA > c.tol || s.RMSForceErrEvA > c.tol || s.EnergyErrEvAtom > c.tol {
+			t.Errorf("%s: exact engine probed deviation %+v, want <= %g", sim.Backend(), s, c.tol)
+		}
+		sim.Close()
 	}
 }
