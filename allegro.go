@@ -4,9 +4,8 @@
 // SC 2023).
 //
 // It re-exports the high-level workflow — build a potential, train it on
-// labeled frames, run (optionally domain-decomposed) molecular dynamics,
-// and regenerate the paper's tables and figures — on top of the internal
-// packages:
+// labeled frames and run (optionally domain-decomposed) molecular dynamics —
+// on top of the internal packages:
 //
 //	internal/core        the Allegro model (the paper's contribution) and
 //	                     the EvalScratch/Evaluator reusable-buffer pipeline
@@ -20,12 +19,11 @@
 //	                     Verlet-skin neighbor reuse on long-lived goroutines
 //	internal/neighbor    parallel, allocation-free cell-list neighbor builds
 //	internal/par         bounded persistent worker pools
-//	internal/baselines   classical / GAP / BP / SchNet / NequIP comparators
 //	internal/groundtruth the synthetic DFT oracle that labels every dataset
-//	internal/data        structure and dataset builders
-//	internal/perfmodel   A100 + allocator models and measured calibration
-//	internal/cluster     Perlmutter-scale throughput simulation
-//	internal/experiments per-table/figure reproduction harnesses
+//
+// The paper's tables and figures (baselines, performance and cluster models,
+// per-experiment harnesses) are regenerated by cmd/allegro-bench, not by
+// this package: importing the simulator links no analysis code.
 //
 // Molecular dynamics runs through one entry point, NewSimulation, whose
 // functional options pick the force backend — the serial zero-allocation
@@ -42,13 +40,11 @@
 package allegro
 
 import (
-	"io"
 	"math/rand/v2"
 
 	"repro/internal/atoms"
 	"repro/internal/core"
 	"repro/internal/domain"
-	"repro/internal/experiments"
 	"repro/internal/groundtruth"
 	"repro/internal/units"
 )
@@ -122,21 +118,3 @@ func NewWaterLongRange() *core.LongRange { return core.NewWaterLongRange() }
 
 // Oracle returns the synthetic reference potential used to label datasets.
 func Oracle() *groundtruth.Oracle { return groundtruth.New() }
-
-// RunExperiment regenerates one of the paper's tables/figures by ID (see
-// Experiments) and prints the report to w.
-func RunExperiment(w io.Writer, id string, full bool, seed uint64) error {
-	scale := experiments.Quick
-	if full {
-		scale = experiments.Full
-	}
-	r, err := experiments.Run(id, scale, seed)
-	if err != nil {
-		return err
-	}
-	r.Print(w)
-	return nil
-}
-
-// Experiments lists the available experiment IDs.
-func Experiments() []string { return experiments.All() }

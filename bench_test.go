@@ -184,6 +184,14 @@ func BenchmarkNeighborBuildSteadyState(b *testing.B) {
 	}
 }
 
+// pairWorker is the in-place force backend behind a Simulation (a
+// core.Evaluator or a domain.Runtime) together with the pair count of its
+// last evaluation, which the steady-state benchmarks report as pairs/s.
+type pairWorker interface {
+	EnergyForcesInto(sys *atoms.System, forces [][3]float64) float64
+	PairWork() int
+}
+
 // BenchmarkEvaluatorSteadyState measures the full zero-allocation force
 // pipeline — parallel neighbor build, chunked compiled-plan replay, the
 // pair-order reduction — at exact precision on one and on all workers, and
@@ -219,7 +227,7 @@ func BenchmarkEvaluatorSteadyState(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer sim.Close()
-			pot := sim.Potential().(perfmodel.InstrumentedPotential)
+			pot := sim.Potential().(pairWorker)
 			run := sim.System()
 			forces := make([][3]float64, run.NumAtoms())
 			pot.EnergyForcesInto(run, forces)
@@ -340,7 +348,7 @@ func BenchmarkRuntimeStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer sim.Close()
-			pot := sim.Potential().(perfmodel.InstrumentedPotential)
+			pot := sim.Potential().(pairWorker)
 			run := sim.System()
 			forces := make([][3]float64, run.NumAtoms())
 			warmSteadyState(func() { pot.EnergyForcesInto(run, forces) })
@@ -384,7 +392,7 @@ func BenchmarkRuntimeStepOverlap(b *testing.B) {
 			}
 			defer sim.Close()
 			pot := sim.Potential().(interface {
-				perfmodel.InstrumentedPotential
+				pairWorker
 				md.PipelinedPotential
 			})
 			run := sim.System()

@@ -9,7 +9,7 @@
 //	allegro-md -model model.json -system water -steps 200 -temp 300
 //	allegro-md -model model.json -system water -steps 200 -grid 2x1x1 -skin 0.5
 //	allegro-md -model model.json -auto-grid -overlap -steps 200
-//	allegro-md -model model.json -grid 2x2x1 -skin 0.5 -workers-per-rank 2 -measure
+//	allegro-md -model model.json -grid 2x2x1 -skin 0.5 -workers-per-rank 2
 //	allegro-md -model model.json -traj traj.xyz -traj-every 10
 //
 // Multi-process mode: with -transport tcp the ranks run as allegro-rankd
@@ -58,7 +58,6 @@ func main() {
 		skin      = flag.Float64("skin", 0.5, "Verlet skin (A) for the decomposed path; 0 rebuilds every step")
 		overlap   = flag.Bool("overlap", false, "hide the ghost exchange behind interior-block evaluation (decomposed path)")
 		wpr       = flag.Int("workers-per-rank", 1, "worker pool size inside each rank")
-		measure   = flag.Bool("measure", false, "measure steady-state throughput and exchange volume, then exit")
 		traj      = flag.String("traj", "", "write an XYZ trajectory to this file")
 		trajEvery = flag.Int("traj-every", 10, "steps between trajectory frames")
 		transp    = flag.String("transport", "", "rank transport: empty = in-process goroutines, tcp = drive an allegro-rankd fleet")
@@ -138,16 +137,6 @@ func main() {
 	defer sim.Close()
 	fmt.Printf("backend: %s (%d ranks, halo %.1f A + skin %.1f A)\n",
 		sim.Backend(), sim.NumRanks(), model.Cuts.Max(), *skin)
-
-	if *measure {
-		meas := sim.Measure(*steps)
-		if sim.Decomposed() {
-			fmt.Println(meas)
-		} else {
-			fmt.Println(meas.Measurement) // no ranks, exchange or phases to report
-		}
-		return
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -2,12 +2,12 @@
 // scaling (Fig. 6), weak scaling (Fig. 7), and the tight-binding comparison
 // (Table III) for arbitrary systems and node counts.
 //
-// The -overlap flag feeds a measured overlap fraction (for example the one
-// `allegro-md -measure` or Simulation.Measure reports for the
-// communication-hiding step pipeline) into the analytic cluster model: the
-// strong-scaling table then prints synchronous and overlapped step-time
-// columns side by side, showing how much of the halo-exchange term hiding
-// the communication recovers at scale.
+// The -overlap flag feeds a measured overlap fraction (for example the
+// "overlap fraction" that allegro-md prints after a decomposed run with
+// -overlap) into the analytic cluster model: the strong-scaling table then
+// prints synchronous and overlapped step-time columns side by side, showing
+// how much of the halo-exchange term hiding the communication recovers at
+// scale.
 //
 // Usage:
 //

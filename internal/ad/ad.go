@@ -141,6 +141,3 @@ func (tp *Tape) Backward(root *Value) {
 		}
 	}
 }
-
-// NumValues returns the number of recorded nodes (useful in tests).
-func (tp *Tape) NumValues() int { return len(tp.vals) }

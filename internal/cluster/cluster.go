@@ -38,8 +38,8 @@ type Machine struct {
 	// Overlap is the fraction of the halo-exchange time hidden behind
 	// computation by the communication-overlapping step pipeline (0 =
 	// bulk-synchronous, 1 = fully hidden): StepTime charges only the
-	// exposed remainder of the ghost-exchange term. Calibrate it from a
-	// measured runtime with perfmodel.CalibrateMachineDecomposed. The
+	// exposed remainder of the ghost-exchange term. Set it from the overlap
+	// fraction a decomposed run measures (domain.RuntimeStats). The
 	// per-step collective/sync term is not discounted — barriers cannot
 	// hide behind local work.
 	Overlap float64

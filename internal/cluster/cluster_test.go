@@ -135,3 +135,16 @@ func TestStrongScalingMonotonicNodes(t *testing.T) {
 		}
 	}
 }
+
+// TestOverlapLowersStepTime checks that hiding part of the halo exchange
+// behind computation strictly shortens the modeled step at a scale where
+// the exchange term is nonzero.
+func TestOverlapLowersStepTime(t *testing.T) {
+	m := Perlmutter()
+	w := Water("water-1M", 1_000_000)
+	ov := m
+	ov.Overlap = 0.9
+	if s0, s1 := m.StepTime(w, 64), ov.StepTime(w, 64); s1 >= s0 {
+		t.Fatalf("overlap 0.9 did not reduce the step time: %g vs %g", s1, s0)
+	}
+}

@@ -123,8 +123,7 @@ type planCache struct {
 }
 
 // KernelProfile re-exports the compiled plans' per-kernel-class replay
-// breakdown for callers outside the internal plan package (allegro-bench
-// -kernels).
+// breakdown for callers outside the internal plan package (bench --trace 1).
 type KernelProfile = plan.KernelProfile
 
 // maxCachedPlans bounds one context's live programs. Shapes churn only

@@ -136,8 +136,15 @@ func (c *Config) Validate() error {
 	if c.NumLayers < 1 {
 		return fmt.Errorf("core: need at least one layer")
 	}
-	if c.NumChannels < 1 || c.LatentDim < 1 || c.NumBessel < 1 {
-		return fmt.Errorf("core: channel/latent/bessel sizes must be positive")
+	if c.NumChannels < 1 || c.LatentDim < 1 || c.NumBessel < 1 || c.EdgeHidden < 1 {
+		return fmt.Errorf("core: channel/latent/bessel/edge sizes must be positive")
+	}
+	for _, hidden := range [][]int{c.TwoBodyHidden, c.LatentHidden} {
+		for _, h := range hidden {
+			if h < 1 {
+				return fmt.Errorf("core: hidden sizes must be positive, got %d", h)
+			}
+		}
 	}
 	if c.DefaultCutoff <= 0 {
 		return fmt.Errorf("core: cutoff must be positive")

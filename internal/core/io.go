@@ -51,7 +51,8 @@ func MarshalModel(m *Model) ([]byte, error) {
 
 // UnmarshalModel reconstructs a model serialized by MarshalModel: the
 // architecture is rebuilt deterministically from the config, then every
-// weight is overwritten from the file.
+// weight is overwritten from the file. The cutoff table and energy shifts
+// must have one row/entry per species; a mismatched file is an error.
 func UnmarshalModel(data []byte) (*Model, error) {
 	var mf modelFile
 	if err := json.Unmarshal(data, &mf); err != nil {
@@ -64,8 +65,18 @@ func UnmarshalModel(data []byte) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	s := m.Idx.Len()
+	if len(mf.Cutoffs) != s {
+		return nil, fmt.Errorf("core: model file has %d cutoff rows, want %d", len(mf.Cutoffs), s)
+	}
 	for i, row := range mf.Cutoffs {
+		if len(row) != s {
+			return nil, fmt.Errorf("core: cutoff row %d has %d entries, want %d", i, len(row), s)
+		}
 		copy(m.Cuts.Rc[i], row)
+	}
+	if len(mf.EnergyShift) != s {
+		return nil, fmt.Errorf("core: model file has %d energy shifts, want %d", len(mf.EnergyShift), s)
 	}
 	m.EnergyScale = mf.EnergyScale
 	copy(m.EnergyShift, mf.EnergyShift)

@@ -356,11 +356,6 @@ func (m *Model) energyGradients(sys *atoms.System, pairs *neighbor.Pairs, disp [
 	return g, g.energy.T.Data[0]
 }
 
-// ForcesOnly returns just the forces (used by MD hot loops).
-func (m *Model) ForcesOnly(sys *atoms.System, pairs *neighbor.Pairs) [][3]float64 {
-	return m.EvaluatePairs(sys, pairs).Forces
-}
-
 // AtomicEnergies returns the per-atom energy decomposition
 // E_i = sigma * sum_j E_ij + mu_{Z_i} (+ half ZBL shares).
 func (m *Model) AtomicEnergies(sys *atoms.System) []float64 {

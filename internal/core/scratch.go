@@ -34,7 +34,7 @@ type EvalScratch struct {
 	Workers int
 	// Profile, when non-nil, accumulates a per-kernel-class wall-time
 	// breakdown of every compiled replay this scratch runs serially (the
-	// allegro-bench -kernels instrumentation). Parallel chunk workers do not
+	// per-kernel plan.* rows of bench --trace 1). Parallel chunk workers do not
 	// profile — the breakdown is a serial-path diagnostic, and per-op timers
 	// add overhead — so pair it with a single-worker configuration.
 	Profile *plan.KernelProfile

@@ -178,21 +178,38 @@ func TestSimStepDeterminismParallel(t *testing.T) {
 }
 
 // TestEvaluatorSteadyStateAllocs pins the steady-state allocation rate of
-// the full force call on all cores — neighbor build, chunked plan replay,
-// reduction — to zero: every buffer is recycled once the shape is warm.
+// the full force call — neighbor build, chunked plan replay, reduction — to
+// zero on all cores and on fixed pools of 1, 2 and 4 workers, at exact and
+// at production precision (whose narrow scratch is a separate set of
+// buffers): every buffer is recycled once the shape is warm.
 func TestEvaluatorSteadyStateAllocs(t *testing.T) {
-	m := testModel(t, 0) // all cores
 	sys := testWater(10)
-	e := NewEvaluator(m)
-	defer e.Close()
-	forces := make([][3]float64, sys.NumAtoms())
-	for i := 0; i < 3; i++ {
-		e.EnergyForcesInto(sys, forces) // warm up plans and pools
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		e.EnergyForcesInto(sys, forces)
-	}); allocs != 0 {
-		t.Errorf("steady-state force call allocates %.0f allocs/op, want 0", allocs)
+	for _, prec := range []struct {
+		name string
+		cfg  PrecisionConfig
+	}{{"exact", ExactPrecision()}, {"production", ProductionPrecision()}} {
+		for _, workers := range []int{0, 1, 2, 4} { // 0: all cores
+			t.Run(fmt.Sprintf("%s/workers=%d", prec.name, workers), func(t *testing.T) {
+				cfg := DefaultConfig([]units.Species{units.H, units.O})
+				cfg.Workers = workers
+				cfg.Precision = prec.cfg
+				m, err := New(cfg, nil, rand.New(rand.NewPCG(11, 13)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := NewEvaluator(m)
+				defer e.Close()
+				forces := make([][3]float64, sys.NumAtoms())
+				for i := 0; i < 3; i++ {
+					e.EnergyForcesInto(sys, forces) // warm up plans and pools
+				}
+				if allocs := testing.AllocsPerRun(10, func() {
+					e.EnergyForcesInto(sys, forces)
+				}); allocs != 0 {
+					t.Errorf("steady-state force call allocates %.0f allocs/op, want 0", allocs)
+				}
+			})
+		}
 	}
 }
 

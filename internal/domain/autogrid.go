@@ -1,4 +1,4 @@
-package perfmodel
+package domain
 
 import (
 	"runtime"
@@ -8,14 +8,14 @@ import (
 
 // MinAtomsPerRank is the smallest owned-atom count worth paying a rank's
 // coordination overhead for — the CPU-goroutine analogue of the paper's
-// GPU saturation knee (SaturationAtoms, ~500 atoms/GPU below which
+// GPU saturation knee (perfmodel.SaturationAtoms, ~500 atoms/GPU below which
 // under-occupancy dominates), scaled down because a rank here is a
 // goroutine with channel handshakes rather than a kernel launch pipeline.
 const MinAtomsPerRank = 48
 
 // AutoGrid picks a rank grid for decomposed MD of sys with ghost halo
-// `halo` (the model's largest cutoff) and Verlet skin `skin`: the
-// perfmodel-informed choice behind allegro.WithAutoDecompose.
+// `halo` (the model's largest cutoff) and Verlet skin `skin`: the choice
+// behind allegro.WithAutoDecompose.
 //
 // The rank budget is min(maxRanks, atoms/MinAtomsPerRank) — decomposing
 // below the saturation knee slows a run down, exactly as the paper observes

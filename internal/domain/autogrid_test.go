@@ -1,4 +1,4 @@
-package perfmodel
+package domain
 
 import (
 	"math/rand/v2"
@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/atoms"
 	"repro/internal/data"
-	"repro/internal/domain"
 )
 
 func TestAutoGridRespectsConstraints(t *testing.T) {
@@ -59,12 +58,12 @@ func TestAutoGridDegenerateCases(t *testing.T) {
 // TestAutoGridValidForRuntime feeds the picked grid into the runtime
 // constructor: whatever AutoGrid returns must construct.
 func TestAutoGridValidForRuntime(t *testing.T) {
-	m, _ := measuredFixture(t) // cutoff 3 A
+	m := tinyModel(t) // cutoff 3 A
 	rng := rand.New(rand.NewPCG(3, 4))
 	for _, nx := range []int{3, 4, 5} {
 		sys := data.WaterBox(rng, nx, nx, 3)
 		grid := AutoGrid(sys, 3.0, 0.5, 16)
-		rt, err := domain.NewRuntime(m, sys, domain.RuntimeOptions{Grid: grid, Halo: 3.0, Skin: 0.5})
+		rt, err := NewRuntime(m, sys, RuntimeOptions{Grid: grid, Halo: 3.0, Skin: 0.5})
 		if err != nil {
 			t.Fatalf("nx=%d grid %v rejected: %v", nx, grid, err)
 		}

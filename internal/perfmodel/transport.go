@@ -47,8 +47,7 @@ func SummarizeLinks(links []transport.LinkStats) (latencySec, bandwidthBps float
 // are set from SummarizeLinks, overriding the frozen
 // MsgLatency/GhostBandwidth constants in StepTime (only the terms that were
 // actually measured — an all-zero summary changes nothing). The compute
-// anchor is untouched; compose with CalibrateMachine(Decomposed) to anchor
-// both sides of the model from one run.
+// anchor is untouched.
 func CalibrateMachineTransport(mach cluster.Machine, links []transport.LinkStats) cluster.Machine {
 	lat, bw := SummarizeLinks(links)
 	if lat > 0 {

@@ -262,8 +262,8 @@ func (p *Program) Execute(in *Inputs) {
 }
 
 // KernelProfile is a per-kernel-class wall-time breakdown of one or more
-// replays, accumulated by ExecuteProfiled (the allegro-bench -kernels
-// instrumentation).
+// replays, accumulated by ExecuteProfiled (the per-kernel plan.* rows of
+// bench --trace 1).
 type KernelProfile struct {
 	Linear  time.Duration // forward matmuls (incl. fused activation tiles)
 	TP      time.Duration // forward tensor-product contractions

@@ -8,8 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/domain"
 	"repro/internal/md"
-	"repro/internal/par"
-	"repro/internal/perfmodel"
 )
 
 // Re-exported engine types: the uniform lifecycle and observer surface of
@@ -53,7 +51,6 @@ const DefaultSkin = 0.5
 type Simulation struct {
 	*md.Simulation
 
-	model     *Model
 	evaluator *core.Evaluator // serial backend (nil when decomposed)
 	runtime   *domain.Runtime // decomposed backend (nil when serial)
 	closed    bool
@@ -66,7 +63,6 @@ type simConfig struct {
 	gridSet bool
 	auto    bool
 	overlap bool
-	profile *core.KernelProfile
 	skin    float64
 	halo    float64
 	workers int
@@ -133,11 +129,10 @@ func WithGrid(nx, ny, nz int) Option {
 	}
 }
 
-// WithAutoDecompose lets the performance model pick the rank grid
-// (perfmodel.AutoGrid): the rank budget follows the machine size and the
-// saturation knee, each subdomain stays at least a halo+skin wide, and
-// systems too small to decompose profitably run serial. Mutually exclusive
-// with WithGrid.
+// WithAutoDecompose picks the rank grid with domain.AutoGrid: the rank
+// budget follows the machine size and the saturation knee, each subdomain
+// stays at least a halo+skin wide, and systems too small to decompose
+// profitably run serial. Mutually exclusive with WithGrid.
 func WithAutoDecompose() Option {
 	return func(c *simConfig) { c.auto = true }
 }
@@ -161,21 +156,9 @@ func WithSkin(skin float64) Option {
 // of frontier atoms overlaps the integrator's second half-kick of interior
 // atoms. Trajectories are bit-identical with overlap on or off — only the
 // schedule changes — and the measured overlap fraction is reported by
-// Measure and Stats. A no-op on the serial backend (there is no exchange
-// to hide).
+// Stats. A no-op on the serial backend (there is no exchange to hide).
 func WithOverlap() Option {
 	return func(c *simConfig) { c.overlap = true }
-}
-
-// WithKernelProfile accumulates a per-kernel-class wall-time breakdown of
-// every compiled replay into kp (forward/backward matmuls, tensor-product
-// contractions, environment rows, radial basis, the rest). The per-op timers
-// add overhead, so this is diagnostic instrumentation — the allegro-bench
-// -kernels flag — not a production mode. Serial evaluator only: pair it with
-// WithWorkers(1); the decomposed backend and parallel chunk workers ignore
-// it.
-func WithKernelProfile(kp *core.KernelProfile) Option {
-	return func(c *simConfig) { c.profile = kp }
 }
 
 // WithHalo overrides the ghost-import distance of the decomposed backend
@@ -240,7 +223,7 @@ func NewSimulation(sys *System, model *Model, opts ...Option) (*Simulation, erro
 		return nil, fmt.Errorf("allegro: WithGrid and WithAutoDecompose are mutually exclusive")
 	}
 
-	s := &Simulation{model: model}
+	s := &Simulation{}
 	grid := [3]int{1, 1, 1}
 	if cfg.gridSet {
 		grid = cfg.grid
@@ -257,7 +240,7 @@ func NewSimulation(sys *System, model *Model, opts ...Option) (*Simulation, erro
 				budget = 1 // workers exceed the node: run a single rank
 			}
 		}
-		grid = perfmodel.AutoGrid(sys, halo, cfg.skin, budget)
+		grid = domain.AutoGrid(sys, halo, cfg.skin, budget)
 	}
 	decomposed := cfg.gridSet || grid != [3]int{1, 1, 1}
 	if decomposed && len(cfg.extras) > 0 {
@@ -284,7 +267,6 @@ func NewSimulation(sys *System, model *Model, opts ...Option) (*Simulation, erro
 		if cfg.workers != 0 {
 			ev.Scratch.Workers = cfg.workers
 		}
-		ev.Scratch.Profile = cfg.profile
 		s.evaluator = ev
 		pot = ev
 	}
@@ -375,30 +357,4 @@ func (s *Simulation) Stats() (st RuntimeStats, ok bool) {
 		return RuntimeStats{}, false
 	}
 	return s.runtime.Stats(), true
-}
-
-// Measure times `steps` steady-state force calls of the simulation's
-// backend without advancing the trajectory (positions are untouched) and
-// reports achieved throughput, allocation rate, and — on the decomposed
-// backend — per-rank rate and ghost-exchange volume. The embedded
-// Measurement feeds perfmodel.CalibrateMachine on both backends. Extra
-// potential terms are not timed: the measurement covers the model pipeline
-// the cluster model is parameterized by.
-func (s *Simulation) Measure(steps int) perfmodel.DecomposedMeasurement {
-	if s.closed {
-		panic("allegro: Measure on a closed Simulation")
-	}
-	if s.runtime != nil {
-		return perfmodel.MeasureRuntime(s.runtime, s.System(), steps)
-	}
-	req := s.evaluator.Scratch.Workers
-	if req == 0 {
-		req = s.model.Cfg.Workers
-	}
-	meas := perfmodel.DecomposedMeasurement{
-		Measurement: perfmodel.MeasurePotential(s.evaluator, s.System(), steps, par.Workers(req, 0)),
-		Ranks:       1,
-	}
-	meas.PairsPerSecRank = meas.PairsPerSec
-	return meas
 }

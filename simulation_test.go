@@ -286,34 +286,6 @@ func TestSimulationCheckpointResumeFacade(t *testing.T) {
 	samePositions(t, "checkpoint/resume", ref.System(), resumed.System())
 }
 
-// TestSimulationMeasureBothBackends checks the uniform measurement hook.
-func TestSimulationMeasureBothBackends(t *testing.T) {
-	model, box := testModelAndBox(t)
-	for _, opts := range [][]Option{nil, {WithGrid(2, 1, 1)}} {
-		sim, err := NewSimulation(box.Clone(), model, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		meas := sim.Measure(2)
-		if meas.Ranks != sim.NumRanks() {
-			t.Fatalf("%s: measured %d ranks, simulation has %d", sim.Backend(), meas.Ranks, sim.NumRanks())
-		}
-		if meas.Pairs <= 0 || meas.PairsPerSec <= 0 || meas.PairsPerSecRank <= 0 {
-			t.Fatalf("%s: degenerate measurement %+v", sim.Backend(), meas)
-		}
-		// Measure must not advance the trajectory.
-		if got := sim.Report().Step; got != 0 {
-			t.Fatalf("%s: Measure advanced the simulation to step %d", sim.Backend(), got)
-		}
-		sim.Close()
-	}
-}
-
-// TestSimulationOverlapBitIdentical pins the public-API form of the
-// overlap pipeline's hard invariant: WithOverlap changes the step schedule
-// (async exchange, split reduction, pipelined half-kick), never the
-// trajectory — bit-identical positions and energy against the synchronous
-// decomposed backend, thermostat stream included.
 // TestSimulationCompiledBitIdentical is the trajectory-level half of the
 // compiled-engine correctness bar: serial MD driven by compiled plan replay
 // (at two worker counts) must be bit-identical to the same engine driven by
@@ -350,6 +322,11 @@ func TestSimulationCompiledBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSimulationOverlapBitIdentical pins the public-API form of the
+// overlap pipeline's hard invariant: WithOverlap changes the step schedule
+// (async exchange, split reduction, pipelined half-kick), never the
+// trajectory — bit-identical positions and energy against the synchronous
+// decomposed backend, thermostat stream included.
 func TestSimulationOverlapBitIdentical(t *testing.T) {
 	model, _ := testModelAndBox(t)
 	// A box elongated along x so each 2x1x1 subdomain is deeper than
@@ -385,9 +362,8 @@ func TestSimulationOverlapBitIdentical(t *testing.T) {
 	if st.InteriorPairs <= 0 || st.InteriorPairs >= st.PairWork {
 		t.Fatalf("expected a genuine interior/frontier split on 2x1x1, got %d/%d", st.InteriorPairs, st.PairWork)
 	}
-	meas := ovSim.Measure(3)
-	if meas.OverlapFraction < 0 || meas.OverlapFraction > 1 {
-		t.Fatalf("measured overlap fraction %g out of [0,1]", meas.OverlapFraction)
+	if f := st.OverlapFraction(); f < 0 || f > 1 {
+		t.Fatalf("measured overlap fraction %g out of [0,1]", f)
 	}
 }
 
