@@ -201,6 +201,7 @@ func (es *EvalScratch) prepareChunkWorkers(pairs *neighbor.Pairs, nw int) {
 	for len(es.workerScr) < nw {
 		ws := &workerEval{}
 		ws.plans.shared = es.plans.shared // inherit the scratch's registry binding
+		ws.plans.refKernels = es.plans.refKernels
 		es.workerScr = append(es.workerScr, ws)
 	}
 	for w := 0; w < nw; w++ {
