@@ -1,90 +1,25 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/atoms"
 	"repro/internal/neighbor"
-	"repro/internal/nn"
-	"repro/internal/o3"
 	"repro/internal/plan"
-	"repro/internal/tensor"
 )
 
 // compilePlan records the Allegro forward pass once for a (Z pairs, N atoms)
-// chunk shape into a flat execution plan. The statement sequence below
-// mirrors buildGraph exactly — same ops, same order, same rounding points
-// — which is what makes compiled replay bit-identical to the tape path; the
-// plan just strips the Value/Tape bookkeeping, folds the frozen weights once
-// (rounded matmul operands, fused TPEntry tables via Inputs.Fused), and
-// hand-schedules the analytic backward.
+// chunk shape into a flat execution plan: forward on the plan builder, then
+// the sigma-weighted energy root. The plan strips the Value/Tape
+// bookkeeping, folds the frozen weights once (rounded matmul operands, fused
+// TPEntry tables via Inputs.Fused), and hand-schedules the analytic backward.
 func (m *Model) compilePlan(z, nAtoms int) *plan.Program {
-	cfg := &m.Cfg
-	s := m.Idx.Len()
-	u := cfg.NumChannels
-	b := plan.NewBuilder(z, nAtoms, cfg.Precision.Compute, cfg.Precision.Weights, cfg.Precision.Final)
-
+	p := &m.Cfg.Precision
+	b := plan.NewBuilder(z, nAtoms, p.Compute, p.Weights, p.Final)
 	rvec := b.InputRvec()
-	oneHot := b.InputOneHot(s)
-
-	r := b.Norm(rvec)
-	env := b.PolyCutoff(r, cfg.PolyP)
-	bes := b.Bessel(r, cfg.NumBessel)
-	besCut := b.MulBroadcast(bes, env, z, cfg.NumBessel)
-	sphDim := o3.SphDim(cfg.LMax)
-	sph := b.SphHarm(rvec, cfg.LMax, sphDim)
-
-	// Two-body latent.
-	h := compileMLP(b, m.twoBody, b.Concat2(oneHot, besCut, z, 2*s, cfg.NumBessel), z)
-
-	// Initial tensor features: V0[z,u,:] = (embed h)[z,u] * Y[z,:].
-	chanW := b.Linear(h, m.embedLin, nil, z)
-	v := b.OuterMul(chanW, sph, z, u, sphDim)
-
-	scaleRes := 1 / math.Sqrt(2.0)
-	for l := 0; l < cfg.NumLayers; l++ {
-		tp := m.tps[l]
-		wEnv := b.MulBroadcast(b.Linear(h, m.envLins[l], nil, z), env, z, u)
-		envSum := b.EnvSum(wEnv, sph, u, sphDim, cfg.envNorm())
-		envPairs := b.Gather(envSum, u*sphDim)
-		tpo := b.TP(v, envPairs, l, z*u, tp.In1.Width, tp.In2.Width, tp.Out.Width)
-
-		scalIdx := tp.Out.ScalarIndex()
-		lo, hi := tp.Out.Block(scalIdx)
-		scal := b.Copy(b.SliceLast(tpo, z*u, hi-lo, tp.Out.Width, lo))
-
-		hNew := compileMLP(b, m.latents[l], b.Concat2(h, scal, z, cfg.LatentDim, u), z)
-		h = b.Scale(b.Add(h, hNew), scaleRes, false)
-
-		// The final layer's channel-weight update feeds only the (absent)
-		// next tensor track: the tape computes it and drops it (its output
-		// never receives an adjoint); the compiler eliminates it statically.
-		if l < cfg.NumLayers-1 {
-			cw := b.Linear(h, m.chanLins[l], nil, z)
-			v = b.MulBroadcast(tpo, cw, z*u, tp.Out.Width)
-		}
-	}
-
-	eRaw := compileMLP(b, m.edgeMLP, h, z)
-	ePair := b.MulBroadcast(eRaw, env, z, 1)
-	if cfg.Precision.Final != tensor.F64 {
-		ePair = b.Scale(ePair, 1, true)
-	}
+	oneHot := b.InputOneHot(m.Idx.Len())
+	ePair, _ := forward(m, b, rvec, oneHot, z)
 	b.SetPairE(ePair)
 	b.WeightedSumAll(ePair)
 	return b.Finish()
-}
-
-// compileMLP mirrors nn.MLP.Apply: linear layers with SiLU between them.
-func compileMLP(b *plan.Builder, mlp *nn.MLP, x plan.Reg, rows int) plan.Reg {
-	h := x
-	for l, w := range mlp.Ws {
-		h = b.Linear(h, w, mlp.Bs[l], rows)
-		if l+1 < len(mlp.Ws) {
-			h = b.SiLU(h)
-		}
-	}
-	return h
 }
 
 // planKey identifies one compiled shape: plans are specific to the exact

@@ -133,8 +133,8 @@ func (c *Config) Validate() error {
 	if c.LMax < 0 || c.LMax > 3 {
 		return fmt.Errorf("core: LMax %d outside supported range [0,3]", c.LMax)
 	}
-	if c.NumLayers < 1 {
-		return fmt.Errorf("core: need at least one layer")
+	if c.NumLayers < 1 || c.NumLayers > maxLayers {
+		return fmt.Errorf("core: NumLayers %d outside supported range [1,%d]", c.NumLayers, maxLayers)
 	}
 	if c.NumChannels < 1 || c.LatentDim < 1 || c.NumBessel < 1 || c.EdgeHidden < 1 {
 		return fmt.Errorf("core: channel/latent/bessel/edge sizes must be positive")
@@ -152,7 +152,42 @@ func (c *Config) Validate() error {
 	if c.AvgNumNeighbors <= 0 {
 		return fmt.Errorf("core: AvgNumNeighbors must be positive")
 	}
+	if c.PolyP < 1 {
+		return fmt.Errorf("core: PolyP %d must be at least 1", c.PolyP)
+	}
+	for _, p := range []tensor.Precision{c.Precision.Final, c.Precision.Weights, c.Precision.Compute} {
+		if p != tensor.F64 && p != tensor.F32 && p != tensor.TF32 {
+			return fmt.Errorf("core: precision %d is not F64, F32 or TF32", p)
+		}
+	}
+	s := float64(len(c.Species))
+	if n := c.denseWeights() + s*s; n > maxWeights { // weights + cutoff table
+		return fmt.Errorf("core: architecture declares %.3g weights, above the %d ceiling", n, maxWeights)
+	}
 	return nil
+}
+
+// maxWeights and maxLayers bound what a decoded config (model file, rank
+// config frame) may make New allocate: 2^26 weights is 8.9x ProductionConfig,
+// and each layer also builds tables the weight count does not see.
+const (
+	maxWeights = 1 << 26
+	maxLayers  = 64
+)
+
+// denseWeights counts New's dense-layer weights from the sizes alone (the
+// <= 68 tensor-product path weights per layer aside), in float64 so that no
+// declared size can overflow it.
+func (c *Config) denseWeights() float64 {
+	u, lat := float64(c.NumChannels), float64(c.LatentDim)
+	mlp := func(in float64, hidden []int, out float64) (n float64) { // with biases
+		for _, h := range hidden {
+			n, in = n+(in+1)*float64(h), float64(h)
+		}
+		return n + (in+1)*out
+	}
+	return mlp(float64(2*len(c.Species)+c.NumBessel), c.TwoBodyHidden, lat) + u*lat + (lat+1)*float64(c.EdgeHidden) +
+		float64(c.NumLayers)*(2*u*lat+mlp(lat+u, c.LatentHidden, lat))
 }
 
 // envNorm is the environment-sum normalization 1/sqrt(avg neighbors).

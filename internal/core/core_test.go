@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/atoms"
@@ -87,6 +88,54 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Species = nil
 	if _, err := New(cfg, nil, rand.New(rand.NewPCG(1, 1))); err == nil {
 		t.Fatal("empty species must be rejected")
+	}
+	// Precisions outside {F64, F32, TF32} made compiled replay disagree
+	// with the tape (Round treats them as F64, the plan as narrow), and a
+	// PolyP below 1 collapses or inverts the cutoff envelope.
+	for name, mutate := range map[string]func(*Config){
+		"weights -1":  func(c *Config) { c.Precision.Weights = -1 },
+		"final 7":     func(c *Config) { c.Precision.Final = 7 },
+		"compute 3":   func(c *Config) { c.Precision.Compute = 3 },
+		"polyP 0":     func(c *Config) { c.PolyP = 0 },
+		"polyP -1":    func(c *Config) { c.PolyP = -1 },
+		"polyP -3":    func(c *Config) { c.PolyP = -3 },
+		"layers 65":   func(c *Config) { c.NumLayers = 65 },
+		"species 10k": func(c *Config) { c.Species = make([]units.Species, 10000) },
+	} {
+		cfg := tinyConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s must be rejected", name)
+		}
+	}
+}
+
+// TestArchitectureCeiling checks that Validate rejects a config declaring
+// far more weights than memory holds (LatentDim 1e7 is ~2.6e9 weights,
+// ~21 GB) from the sizes alone — before New allocates anything — and that
+// the count it bounds is the dense part of what New builds.
+func TestArchitectureCeiling(t *testing.T) {
+	cfg := DefaultConfig(testSpecies())
+	cfg.LatentDim = 10_000_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := New(cfg, nil, rand.New(rand.NewPCG(1, 1)))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("LatentDim 1e7 must be rejected")
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+		t.Fatalf("rejecting the config allocated %d bytes", b)
+	}
+	species := []units.Species{units.H, units.C, units.N, units.O, units.P, units.S}
+	for _, cfg := range []Config{tinyConfig(), DefaultConfig(species), ProductionConfig(species)} {
+		m, err := New(cfg, nil, rand.New(rand.NewPCG(2, 2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if paths := float64(m.NumWeights()) - cfg.denseWeights(); paths < 0 || paths > 68*float64(cfg.NumLayers) {
+			t.Fatalf("%d weights vs %g dense: the difference must be the tensor-product paths", m.NumWeights(), cfg.denseWeights())
+		}
 	}
 }
 

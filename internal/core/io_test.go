@@ -84,6 +84,10 @@ func FuzzUnmarshalModel(f *testing.F) {
 	f.Add(bytes.Replace(valid, []byte(`"energy_shift":[-0.5,-1.5]`), []byte(`"energy_shift":[-1]`), 1))
 	f.Add(bytes.Replace(valid, []byte(`"EdgeHidden":4`), []byte(`"EdgeHidden":-1`), 1))
 	f.Add(bytes.Replace(valid, []byte(`"TwoBodyHidden":[8]`), []byte(`"TwoBodyHidden":[-8]`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"Weights":0`), []byte(`"Weights":-1`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"Final":0`), []byte(`"Final":7`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"PolyP":6`), []byte(`"PolyP":-3`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"LatentDim":8`), []byte(`"LatentDim":10000000`), 1))
 	f.Add([]byte(`{"format":"goallegro-v1"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m1, err := UnmarshalModel(data)

@@ -135,15 +135,6 @@ func (m *Model) addLinear(rng *rand.Rand, name string, out, in int) *tensor.Tens
 // NumWeights returns the number of trainable scalar parameters.
 func (m *Model) NumWeights() int { return m.Params.NumParams() }
 
-// fusedEntries returns the per-layer weight-folded tensor-product entry
-// tables, re-folding only when the parameter version moved. The returned
-// tables are shared and must be treated as read-only; they stay valid until
-// the next Params mutation.
-func (m *Model) fusedEntries() [][]o3.TPEntry {
-	tabs, _, _, _ := m.fusedTables()
-	return tabs
-}
-
 // fusedTables returns the per-layer weight-folded entry tables in the
 // float64 form, the (narrow-compute) packed float32 form, and the stable
 // C-sorted copies of both that the blocked forward contraction kernels
@@ -194,13 +185,12 @@ func (m *Model) fusedTables() ([][]o3.TPEntry, [][]o3.TPEntry32, [][]o3.TPEntry,
 
 // graph holds the tape nodes of one forward pass that later stages need.
 type graph struct {
-	tape    *ad.Tape
-	binder  *nn.Binder
-	rvec    *ad.Value // [Z,3] pair displacement leaf
-	energy  *ad.Value // scalar network energy (before scale/shift/ZBL)
-	pairE   *ad.Value // [Z,1] per-pair energies (after envelope)
-	latent  *ad.Value // final latent (diagnostics)
-	numReal int
+	tape   *ad.Tape
+	binder *nn.Binder
+	rvec   *ad.Value // [Z,3] pair displacement leaf
+	energy *ad.Value // scalar network energy (before scale/shift/ZBL)
+	pairE  *ad.Value // [Z,1] per-pair energies (after envelope)
+	latent *ad.Value // final latent (diagnostics)
 }
 
 // buildGraph runs the Allegro forward pass over the given pair list on a
@@ -209,7 +199,6 @@ type graph struct {
 func (m *Model) buildGraph(sys *atoms.System, pairs *neighbor.Pairs, train bool) *graph {
 	cfg := &m.Cfg
 	tape := ad.NewTape(cfg.Precision.Compute, cfg.Precision.Weights)
-	b := nn.NewBinder(tape, train)
 	z := pairs.Len()
 
 	// Pair displacement leaf (forces flow into this).
@@ -231,58 +220,14 @@ func (m *Model) buildGraph(sys *atoms.System, pairs *neighbor.Pairs, train bool)
 		sigma[i] = m.EnergyScale
 	}
 
-	fused := m.fusedEntries() // frozen-weight TP tables (re-folded on Params mutation)
+	// Frozen-weight TP tables (re-folded on Params mutation).
+	fused, _, _, _ := m.fusedTables()
+	g := &tapeOps{tape: tape, b: nn.NewBinder(tape, train), pairs: pairs, m: m, fused: fused}
+	ePair, latent := forward(m, g, rvec, tape.Const(oneHot), z)
 
-	r := tape.Norm(rvec)                            // [Z,1]
-	env := tape.PolyCutoff(r, pairs.Cut, cfg.PolyP) // [Z,1]
-	bes := tape.Bessel(r, pairs.Cut, cfg.NumBessel) // [Z,NB]
-	besCut := tape.MulBroadcastLast(bes, env)
-	sph := tape.SphHarm(rvec, cfg.LMax) // [Z,(lmax+1)^2]
-
-	// Two-body latent.
-	h := m.twoBody.Apply(b, tape.Concat(tape.Const(oneHot), besCut)) // [Z,L]
-
-	// Initial tensor features: V0[z,u,:] = (embed h)[z,u] * Y[z,:].
-	chanW := tape.Linear(h, b.Bind(m.embedLin), nil) // [Z,U]
-	v := tape.OuterMul(chanW, sph)                   // [Z,U,sphW]
-
-	scaleRes := 1 / math.Sqrt(2.0)
-	for l := 0; l < cfg.NumLayers; l++ {
-		tp := m.tps[l]
-		// Environment weights, cutoff-enveloped so distant pairs fade out.
-		wEnv := tape.MulBroadcastLast(tape.Linear(h, b.Bind(m.envLins[l]), nil), env) // [Z,U]
-		envSum := tape.EnvSum(wEnv, sph, pairs.I, pairs.NAtoms, cfg.envNorm())        // [N,U,sphW]
-		envPairs := tape.GatherRows(envSum, pairs.I)                                  // [Z,U,sphW]
-		tpo := tape.TensorProduct(tp, v, envPairs, b.Bind(m.tpWts[l]), fused[l])      // [Z,U,outW]
-
-		// Scalar (0e) channel extraction feeds the latent track.
-		scalIdx := tp.Out.ScalarIndex()
-		lo, hi := tp.Out.Block(scalIdx)
-		scal := tape.Reshape(tape.SliceLast(tpo, lo, hi), z, cfg.NumChannels) // [Z,U]
-
-		// Latent update with residual mixing.
-		hNew := m.latents[l].Apply(b, tape.Concat(h, scal))
-		h = tape.Scale(tape.Add(h, hNew), scaleRes)
-
-		// Scalar track controls the tensor track through channel weights.
-		cw := tape.Linear(h, b.Bind(m.chanLins[l]), nil) // [Z,U]
-		v = tape.MulBroadcastLast(tpo, cw)
-	}
-
-	// Final per-pair energies, enveloped for smoothness at the cutoff.
-	eRaw := m.edgeMLP.Apply(b, h)             // [Z,1]
-	ePair := tape.MulBroadcastLast(eRaw, env) // [Z,1]
-
-	// sigma-weighted sum: E_net = sum_z sigma_{Z_i(z)} E_z. This is the
-	// "final" stage the paper keeps in double precision; emulate narrower
-	// final stages by quantizing pair energies before the reduction.
-	if cfg.Precision.Final != tensor.F64 {
-		ePair = tape.Scale(ePair, 1) // copy, then quantize below
-		ePair.T.Quantize(cfg.Precision.Final)
-	}
+	// sigma-weighted sum: E_net = sum_z sigma_{Z_i(z)} E_z.
 	eNet := tape.WeightedSumAll(ePair, sigma)
-
-	return &graph{tape: tape, binder: b, rvec: rvec, energy: eNet, pairE: ePair, latent: h, numReal: pairs.NumReal}
+	return &graph{tape: tape, binder: g.b, rvec: rvec, energy: eNet, pairE: ePair, latent: latent}
 }
 
 // Result holds one evaluation of the potential.

@@ -8,11 +8,11 @@ import (
 	"repro/internal/tensor/kern"
 )
 
-// Builder records one forward pass into a Program: each method mirrors the
-// corresponding ad.Tape operation, assigns the output a register in the
-// contiguous slab, and appends a fused op record. The compiler (core's
-// compilePlan) drives it through the exact statement sequence of the tape
-// forward pass, which is what makes replay bit-identical.
+// Builder records one forward pass into a Program: each method performs the
+// arithmetic of the corresponding ad.Tape operation, assigns the output a
+// register in the contiguous slab, and appends a fused op record. It is one
+// of the two executors of core's forward definition (the tape is the other),
+// so both run the same op sequence, which is what makes replay bit-identical.
 type Builder struct {
 	p       *Program
 	slabTop int
@@ -167,11 +167,6 @@ func (b *Builder) TP(x, y Reg, layer, zu, w1, w2, w3 int) Reg {
 func (b *Builder) SliceLast(x Reg, rows, width, last, lo int) Reg {
 	return b.push(op{kind: opSlice, x: x, out: b.val(rows*width, true),
 		rows: rows, c: width, last: last, lo: lo})
-}
-
-// Copy records the reshape copy (the tape's copy-semantics Reshape).
-func (b *Builder) Copy(x Reg) Reg {
-	return b.push(op{kind: opCopy, x: x, out: b.val(x.N, true)})
 }
 
 // Add records a + b (equal shapes).

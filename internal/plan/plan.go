@@ -12,11 +12,13 @@
 // per-call weight re-rounding or TPEntry re-folding — and performs zero
 // heap allocations at every precision.
 //
-// Replay is bit-identical to the tape path: every op record mirrors the
-// corresponding ad.Tape operation's arithmetic (same kernels, same rounding
-// points, same accumulation order), and the backward mirrors the pooled ops
-// of ad/backops.go with the weight-gradient branches statically removed
-// (weights are frozen during inference, so their adjoints are dead work).
+// Replay is bit-identical to the tape path: one definition, two executors —
+// core's forward runs on both the Builder and the tape, every op record
+// performs the corresponding ad.Tape operation's arithmetic (same kernels,
+// same rounding points, same accumulation order), and the backward mirrors
+// the pooled ops of ad/backops.go with the weight-gradient branches
+// statically removed (weights are frozen during inference, so their
+// adjoints are dead work).
 //
 // A Program is compiled for one exact shape (Z pairs, N atoms) and one
 // model; core caches Programs per shape and invalidates them when the
@@ -81,7 +83,6 @@ const (
 	opGather
 	opTP
 	opSlice
-	opCopy
 	opAdd
 	opScale
 	opWeightedSum
@@ -694,9 +695,6 @@ func (p *Program) forward(o *op, in *Inputs) {
 			copy(y[r*o.c:(r+1)*o.c], x[r*o.last+o.lo:r*o.last+o.lo+o.c])
 		}
 
-	case opCopy:
-		copy(p.fwdOf(o.out), p.fwdOf(o.x))
-
 	case opAdd:
 		a := p.fwdOf(o.x)
 		bb := p.fwdOf(o.y)
@@ -984,13 +982,6 @@ func (p *Program) backward(o *op, in *Inputs) {
 			for j, gv := range src {
 				dst[j] += gv
 			}
-		}
-
-	case opCopy:
-		g := p.gradOf(o.out)
-		gx := p.gradOf(o.x)
-		for i, gv := range g {
-			gx[i] += gv
 		}
 
 	case opAdd:

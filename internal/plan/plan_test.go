@@ -24,7 +24,7 @@ var precisions = []precision{
 }
 
 // miniProgram compiles a one-layer Allegro-shaped program — every op kind,
-// in compilePlan's order — over z pairs of which the last pad are padding
+// in the order of core's one forward definition — over z pairs of which the last pad are padding
 // (zero envelope, like neighbor.Pairs.PadTo), with random frozen weights at
 // the store precision. The layer widths are ragged against every kern tile:
 // 17 spans two float32 panels and three float64 panels with one live column
@@ -70,7 +70,7 @@ func miniProgram(z, pad int, pr precision, rng *rand.Rand) (*Program, *Inputs) {
 	envPairs := b.Gather(b.EnvSum(wEnv, sph, u, sphDim, 0.5), u*sphDim)
 	tpo := b.TP(v, envPairs, 0, z*u, tp.In1.Width, tp.In2.Width, tp.Out.Width)
 	lo, hi := tp.Out.Block(tp.Out.ScalarIndex())
-	scal := b.Copy(b.SliceLast(tpo, z*u, hi-lo, tp.Out.Width, lo))
+	scal := b.SliceLast(tpo, z*u, hi-lo, tp.Out.Width, lo)
 	hNew := mlp(b.Concat2(h, scal, z, latent, u), latent+u, hidden, hidden, latent)
 	h = b.Scale(b.Add(h, hNew), 1/math.Sqrt(2.0), false)
 

@@ -9,8 +9,8 @@ import (
 // of padded shapes so that compiled plans — which are specific to the exact
 // (Z, N) — are shared across requests instead of compiled per system size.
 //
-// The atom count rounds up to AtomBucket; the pair count takes the paper's
-// PadFactor headroom, rounds up to PairBucket, and then joins a per-atom-
+// The atom count rounds up to atomBucket; the pair count takes the paper's
+// padFactor headroom, rounds up to pairBucket, and then joins a per-atom-
 // bucket running maximum: the same PadTo running-max discipline the serial
 // Evaluator applies across MD steps, applied here across tenants. Shapes
 // therefore converge — after warm-up, every request of a given size class
@@ -19,26 +19,23 @@ import (
 // cutoff envelope and surplus atom rows are never gathered, so a bucketed
 // evaluation is bit-identical to the unpadded serial one.
 type bucketTable struct {
-	atomBucket int
-	pairBucket int
-	padFactor  float64
-
 	mu   sync.Mutex
 	maxZ map[int]int // bucketed atom count -> running-max bucketed pair count
 }
 
-func (bt *bucketTable) init(atomBucket, pairBucket int, padFactor float64) {
-	bt.atomBucket = atomBucket
-	bt.pairBucket = pairBucket
-	bt.padFactor = padFactor
-	bt.maxZ = make(map[int]int)
-}
+// The bucketing granularities: coarser buckets mean fewer shapes (fewer
+// compiles, a smaller plan pool) but more padded work per request.
+const (
+	atomBucket = 16
+	pairBucket = 256
+	padFactor  = 1.05 // the paper's 5% pair headroom
+)
 
 // shape returns the padded (atoms, pairs) shape for a request with nReal
 // atoms and zReal pairs, advancing the running maximum for its size class.
 func (bt *bucketTable) shape(nReal, zReal int) (nB, zB int) {
-	nB = roundUp(nReal, bt.atomBucket)
-	zB = roundUp(int(math.Ceil(bt.padFactor*float64(zReal))), bt.pairBucket)
+	nB = roundUp(nReal, atomBucket)
+	zB = roundUp(int(math.Ceil(padFactor*float64(zReal))), pairBucket)
 	bt.mu.Lock()
 	if cur := bt.maxZ[nB]; cur >= zB {
 		zB = cur

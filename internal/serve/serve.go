@@ -74,14 +74,6 @@ type Config struct {
 	MaxAtoms int
 	// MaxSteps bounds trajectory request lengths (default 1000).
 	MaxSteps int
-	// AtomBucket is the atom-count rounding granularity of shape bucketing
-	// (default 16); PairBucket the pair-count granularity (default 256).
-	AtomBucket int
-	// PairBucket — see AtomBucket.
-	PairBucket int
-	// PadFactor is the pair-list headroom applied before bucketing
-	// (default 1.05, the paper's 5% padding).
-	PadFactor float64
 }
 
 func (c *Config) fill() error {
@@ -102,15 +94,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 1000
-	}
-	if c.AtomBucket <= 0 {
-		c.AtomBucket = 16
-	}
-	if c.PairBucket <= 0 {
-		c.PairBucket = 256
-	}
-	if c.PadFactor < 1 {
-		c.PadFactor = 1.05
 	}
 	return nil
 }
@@ -192,8 +175,8 @@ func NewService(cfg Config) (*Service, error) {
 		registry: core.NewPlanRegistry(cfg.Model),
 		queue:    make(chan *task, cfg.QueueDepth),
 		inflight: make(map[string]int),
+		buckets:  bucketTable{maxZ: make(map[int]int)},
 	}
-	s.buckets.init(cfg.AtomBucket, cfg.PairBucket, cfg.PadFactor)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
