@@ -33,8 +33,9 @@
 // hooks (WithObserver, WithTrajectoryWriter). Every step evaluates the full
 // model at the current positions: no option skips or approximates part of
 // that evaluation. Trajectories are bit-identical across worker counts on
-// each backend, and across rank grids, skins, overlap and transports on the
-// decomposed backend; the serial and decomposed backends agree to
+// each backend, and across rank grids, skins and overlap on the decomposed
+// backend, which the multi-process rank fleet (cmd/allegro-rankd)
+// reproduces bit for bit; the serial and decomposed backends agree to
 // accumulation-order noise (the serial neighbor list orders a center's pairs
 // differently). See README.md for the options table.
 package allegro

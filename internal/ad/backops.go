@@ -35,9 +35,7 @@ func (p *opPool[T]) get() *T {
 type opPools struct {
 	linear  opPool[linearOp]
 	silu    opPool[siluOp]
-	tanh    opPool[tanhOp]
 	add     opPool[addOp]
-	sub     opPool[subOp]
 	mul     opPool[mulOp]
 	scale   opPool[scaleOp]
 	concat  opPool[concatOp]
@@ -102,19 +100,6 @@ func (op *siluOp) run() {
 	}
 }
 
-type tanhOp struct{ v, x *Value }
-
-func (op *tanhOp) run() {
-	if !op.x.req {
-		return
-	}
-	gx := op.x.ensureGrad()
-	for i := range op.x.T.Data {
-		t := op.v.T.Data[i]
-		gx.Data[i] += op.v.grad.Data[i] * (1 - t*t)
-	}
-}
-
 type addOp struct{ v, a, b *Value }
 
 func (op *addOp) run() {
@@ -123,20 +108,6 @@ func (op *addOp) run() {
 	}
 	if op.b.req {
 		op.b.ensureGrad().AddInPlace(op.v.grad, tensor.F64)
-	}
-}
-
-type subOp struct{ v, a, b *Value }
-
-func (op *subOp) run() {
-	if op.a.req {
-		op.a.ensureGrad().AddInPlace(op.v.grad, tensor.F64)
-	}
-	if op.b.req {
-		gb := op.b.ensureGrad()
-		for i := range gb.Data {
-			gb.Data[i] -= op.v.grad.Data[i]
-		}
 	}
 }
 

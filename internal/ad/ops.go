@@ -51,20 +51,6 @@ func (tp *Tape) SiLU(x *Value) *Value {
 	return v
 }
 
-// Tanh applies tanh elementwise.
-func (tp *Tape) Tanh(x *Value) *Value {
-	y := tensor.New(x.T.Shape...)
-	for i, v := range x.T.Data {
-		y.Data[i] = math.Tanh(v)
-	}
-	tp.store(y)
-	v := tp.node(y, x.req)
-	op := tp.ops.tanh.get()
-	*op = tanhOp{v: v, x: x}
-	v.back = op
-	return v
-}
-
 // Add returns a + b (same shapes).
 func (tp *Tape) Add(a, b *Value) *Value {
 	if !a.T.SameShape(b.T) {
@@ -75,22 +61,6 @@ func (tp *Tape) Add(a, b *Value) *Value {
 	v := tp.node(y, a.req || b.req)
 	op := tp.ops.add.get()
 	*op = addOp{v: v, a: a, b: b}
-	v.back = op
-	return v
-}
-
-// Sub returns a - b.
-func (tp *Tape) Sub(a, b *Value) *Value {
-	if !a.T.SameShape(b.T) {
-		panic("ad: Sub shape mismatch")
-	}
-	y := tensor.New(a.T.Shape...)
-	for i := range y.Data {
-		y.Data[i] = tp.Store.Round(a.T.Data[i] - b.T.Data[i])
-	}
-	v := tp.node(y, a.req || b.req)
-	op := tp.ops.sub.get()
-	*op = subOp{v: v, a: a, b: b}
 	v.back = op
 	return v
 }

@@ -31,82 +31,21 @@ var errRecoverInterrupt = errors.New("domain: phase interrupted by recovery epoc
 //
 // Failure: a comm goroutine that observes a KindDeath notice (or a
 // DeadError from Send/Recv) marks the peer in deadRank, forfeits the
-// pending expectation so no phase ever hangs, and latches commErr; the
-// master surfaces the first failure through Runtime.Err after the step's
-// barriers. Recovery is Runtime.Restore — revive the transport ranks and
-// force a rebuild — plus rewinding the integrator to a checkpoint; results
-// are bit-identical to the uninterrupted run because trajectories are
-// independent of the rebuild schedule.
+// pending expectation so no phase ever hangs, and latches commErr. Only a
+// rank server can see a death — its peers are separate processes; it NACKs
+// the driver, which runs elastic recovery (recover.go). The in-process
+// runtime owns its channel transport, whose ranks cannot die, so a latched
+// error there is a bug and checkFailure panics with it.
 
-// Err returns the first rank failure observed by a comm goroutine, or nil.
-// Once non-nil, steps short-circuit (forces and energy go stale) until
-// Restore clears the failure.
-func (r *Runtime) Err() error { return r.err }
-
-// checkFailure latches the first per-rank transport error into r.err. It
-// runs on the master after phase barriers, so the rank fields are settled.
+// checkFailure panics with the first latched per-rank transport error. It
+// runs on the in-process master after phase barriers, so the rank fields
+// are settled.
 func (r *Runtime) checkFailure() {
-	if r.err != nil {
-		return
-	}
 	for _, rk := range r.ranks {
 		if rk.commErr != nil {
-			r.err = rk.commErr
-			return
+			panic(fmt.Sprintf("domain: rank %d: %v", rk.id, rk.commErr))
 		}
 	}
-}
-
-// Restore recovers the runtime after a rank failure: dead ranks are revived
-// on the transport (which must implement transport.Reviver), the latched
-// errors are cleared, and the next step is forced to rebuild — re-deriving
-// membership, neighbor lists, and exchange plans from current positions.
-// Rebuilds do not perturb trajectories (skin-shell pairs contribute exactly
-// zero), so a Restore followed by resuming the integrator from a checkpoint
-// reproduces the uninterrupted run bit for bit.
-//
-// Call Restore before rewinding the integrator state: the restore path
-// itself performs no evaluation, but the next force call must find a clean
-// transport.
-func (r *Runtime) Restore() error {
-	var rv transport.Reviver
-	for i := range r.deadRank {
-		if !r.deadRank[i].Load() {
-			continue
-		}
-		if rv == nil {
-			var ok bool
-			if rv, ok = r.tr.(transport.Reviver); !ok {
-				return fmt.Errorf("domain: transport %T cannot revive dead rank %d", r.tr, i)
-			}
-		}
-		if err := rv.Revive(i); err != nil {
-			return fmt.Errorf("domain: revive rank %d: %w", i, err)
-		}
-		// The dead rank's in-memory replica store died with it: reset it so
-		// the revived incarnation starts empty, like a fresh process would.
-		// Survivors keep the shards they hold for the dead rank — that is
-		// the redundancy recovery reads.
-		r.ranks[i].repl.reset()
-		r.deadRank[i].Store(false)
-	}
-	for _, rk := range r.ranks {
-		rk.commErr = nil
-	}
-	r.err = nil
-	r.started = false // force a rebuild: lists and exchange plans re-derive
-	return nil
-}
-
-// LinkStats returns the transport's measured per-link statistics (empty for
-// transports that measure nothing, like the in-process channels). These are
-// the numbers perfmodel.CalibrateMachineTransport feeds into the cluster
-// model so allegro-scale predicts multi-node step time from real links.
-func (r *Runtime) LinkStats() []transport.LinkStats {
-	if sr, ok := r.tr.(transport.StatsReporter); ok {
-		return sr.LinkStats()
-	}
-	return nil
 }
 
 // noteErr latches this rank's first transport failure.
@@ -116,9 +55,9 @@ func (rk *rank) noteErr(err error) {
 	}
 }
 
-// noteDeath records a death notice: the rank is marked globally dead and
-// the failure latched (a dead peer makes this run unrecoverable without
-// Restore, even when the victim is not this rank).
+// noteDeath records a death notice: the rank is marked dead and the
+// failure latched (a dead peer aborts the phase, even when the victim is
+// not this rank).
 func (rk *rank) noteDeath(dead int) {
 	rt := rk.rt
 	if dead >= 0 && dead < len(rt.deadRank) {

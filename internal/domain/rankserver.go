@@ -59,6 +59,10 @@ type RankServer struct {
 	// latency optimization of the in-process pipeline, not of the protocol).
 	reduceAll []int32
 
+	// repl holds this rank's replica shards: its own plus its buddy
+	// predecessor's (see replica.go).
+	repl *replStore
+
 	sendF transport.Frame
 }
 
@@ -154,35 +158,10 @@ func (s *RankServer) build(wire *remoteWire) error {
 	for k := 0; k < 3; k++ {
 		rt.sub[k] = sys.Cell[k] / float64(wire.Grid[k])
 	}
-	wpr := wire.Workers
-	if wpr <= 0 {
-		wpr = 1
-	}
-	g := wire.Grid
-	cz := s.id % g[2]
-	cy := (s.id / g[2]) % g[1]
-	cx := s.id / (g[1] * g[2])
-	rk := &rank{rt: rt, id: s.id, scratch: core.NewEvalScratch(), local: atoms.NewSystem(0)}
-	coord := [3]int{cx, cy, cz}
-	for k := 0; k < 3; k++ {
-		rk.lo[k] = float64(coord[k]) * rt.sub[k]
-		rk.hi[k] = rk.lo[k] + rt.sub[k]
-	}
-	rk.builder.Workers = wpr
-	rk.builder.Skin = wire.Skin
-	rk.scratch.Workers = wpr
-	rk.ep = s.ep
-	rk.seen = make([]bool, nr)
-	rk.planBits = make([]uint8, nr)
-	rk.fwdNeed = make([][]int32, nr)
-	rk.fwdArena = make([][]int32, nr)
-	rk.sendFwd = make([][]int32, nr)
-	rk.rowSendT = make([][]int32, nr)
-	rk.rowPlan = make([][]int32, nr)
-	rk.rowRecv = make([][]int32, nr)
-	rk.repl = newReplStore()
+	rk := newRank(rt, s.id, s.ep)
 	rt.ranks[s.id] = rk
 	s.rt, s.rk = rt, rk
+	s.repl = newReplStore()
 	return nil
 }
 
@@ -190,9 +169,11 @@ func (s *RankServer) build(wire *remoteWire) error {
 // Peer and driver frames racing ahead of the current phase are parked in
 // the rank's stash by the phase receive loops and consumed here in order.
 // A peer's death is survivable: the interrupted phase is NACKed to the
-// driver (KindAbort) and the rank waits for the recovery epoch.
+// driver (KindAbort) and the rank waits for the recovery epoch. Driver
+// ticks only grow, so a rebuild or step frame at or below the last tick
+// served is a duplicate or a stale delivery and is dropped.
 func (s *RankServer) Serve() error {
-	rk := s.rk
+	rt, rk := s.rt, s.rk
 	for {
 		if err := s.recvServe(); err != nil {
 			return fmt.Errorf("rankd %d: %w", s.id, err)
@@ -200,15 +181,26 @@ func (s *RankServer) Serve() error {
 		f := &rk.recvF
 		switch f.Kind {
 		case transport.KindRebuild:
+			if f.Step <= rt.rebuildTick {
+				continue
+			}
 			if err := s.settle(s.handleRebuild(f)); err != nil {
 				return err
 			}
 		case transport.KindOwnedPos:
+			if f.Step <= rt.stepTick {
+				continue
+			}
 			if err := s.settle(s.handleStep(f)); err != nil {
 				return err
 			}
 		case transport.KindShutdown:
 			s.logln("shutdown at step %d", s.rt.stepTick)
+			// The driver closes the wire once every rank has acknowledged.
+			// Best effort: a driver that is already gone needs no ack.
+			ack := &s.sendF
+			ack.Reset(transport.KindShutdown, s.nr, f.Step)
+			_ = s.ep.Send(ack)
 			return nil
 		case transport.KindDeath:
 			if int(f.Src) == s.nr {
@@ -369,14 +361,14 @@ func (s *RankServer) storeReplica(f *transport.Frame) bool {
 	if owner < 0 || owner >= s.nr {
 		return false
 	}
-	return s.rk.repl.unpackReplica(f, int32(owner))
+	return s.repl.unpackReplica(f, int32(owner))
 }
 
 // handleReplicaReq replies to the driver's state-recovery probe with every
 // shard this rank holds, echoing the request tick.
 func (s *RankServer) handleReplicaReq(f *transport.Frame) error {
 	out := &s.sendF
-	packReplicaRep(out, s.nr, f.Step, s.rk.repl.shards())
+	packReplicaRep(out, s.nr, f.Step, s.repl.shards())
 	if err := s.ep.Send(out); err != nil {
 		return fmt.Errorf("rankd %d: send replica shards: %w", s.id, err)
 	}
@@ -424,8 +416,11 @@ func (s *RankServer) handleRebuild(f *transport.Frame) error {
 			return fmt.Errorf("rankd %d: waiting for layout: %w", s.id, err)
 		}
 		g := &rk.recvF
-		if g.Kind == transport.KindLayout && g.Step == rt.rebuildTick {
-			break
+		if g.Kind == transport.KindLayout {
+			if g.Step == rt.rebuildTick {
+				break
+			}
+			continue // a duplicate or stale layout of an earlier rebuild
 		}
 		if g.Kind == transport.KindDeath {
 			if int(g.Src) == s.nr {
@@ -527,6 +522,7 @@ func (s *RankServer) buildLocalAdjacency() {
 // reduce, and return forces plus slot-ordered pair energies to the driver.
 func (s *RankServer) handleStep(f *transport.Frame) error {
 	rt, rk := s.rt, s.rk
+	rt.stepTick = f.Step
 	if !rt.started {
 		// No valid plans — a prior phase aborted or a recovery epoch
 		// invalidated them. NACK so the driver latches at this tick.
@@ -535,7 +531,6 @@ func (s *RankServer) handleStep(f *transport.Frame) error {
 	if len(f.Vecs) != s.nOwned {
 		return fmt.Errorf("rankd %d: position frame carries %d atoms, rank owns %d", s.id, len(f.Vecs), s.nOwned)
 	}
-	rt.stepTick = f.Step
 	for t, v := range f.Vecs {
 		rt.pw[rk.gOf[t]] = v
 	}

@@ -286,7 +286,7 @@ func (r *RemoteRuntime) Replicate(step uint64, pos, vel [][3]float64) error {
 		}
 	}
 	if r.nr == 1 {
-		r.masterRepl.put(step, 0, r.ownedOf[0], pos, vel)
+		r.driverRepl.put(step, 0, r.ownedOf[0], pos, vel)
 	}
 	return nil
 }
@@ -324,7 +324,7 @@ func (r *RemoteRuntime) RecoverState(dead int, pos, vel [][3]float64) (uint64, e
 	if err != nil {
 		return 0, r.fail(PhaseRecover, err)
 	}
-	shards = append(shards, r.masterRepl.shards()...)
+	shards = append(shards, r.driverRepl.shards()...)
 	step, ok := assembleReplicas(shards, pos, vel)
 	if !ok {
 		return 0, fmt.Errorf("domain: no complete replication point survives among %d shards", len(shards))

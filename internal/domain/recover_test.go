@@ -109,12 +109,15 @@ func runSupervised(t *testing.T, rr *RemoteRuntime, sim *md.DecomposedSim, steps
 	}
 }
 
-// TestRemoteRuntimeElasticRecoveryBitwise is the remote half of the elastic
-// recovery property, on every rank grid: a rank server is killed
-// mid-trajectory, a fresh replacement is admitted into a new generation
-// (config reshipped, state reassembled from the survivors' buddy shards —
-// no disk), and the finished trajectory is bit-identical to the
-// failure-free run. The recovery timers must record exactly one recovery.
+// TestRemoteRuntimeElasticRecoveryBitwise is the elastic recovery property
+// on every rank grid: a rank server is killed mid-trajectory, a fresh
+// replacement is admitted into a new generation (config reshipped, state
+// reassembled from the survivors' buddy shards — no disk), and the finished
+// trajectory is bit-identical to the failure-free run. The recovery timers
+// must record exactly one recovery per kill. The chaos variant runs two
+// seeded kills on a wire that also drops, duplicates and delays frames, on
+// the multi-rank grids. NVE throughout: the thermostat RNG is not
+// replicated, so determinism is only defined without one.
 func TestRemoteRuntimeElasticRecoveryBitwise(t *testing.T) {
 	const (
 		steps    = 40
@@ -122,75 +125,98 @@ func TestRemoteRuntimeElasticRecoveryBitwise(t *testing.T) {
 		killAt   = 17
 		temp     = 600.0
 	)
+	type variant struct {
+		name  string
+		tr    transport.Transport
+		kill  func(step int) // manual kill hook, nil under scheduled chaos
+		kills int            // recoveries the run must record
+	}
 	m := tinyModel(t)
 	for _, grid := range [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 2}} {
 		nr := grid[0] * grid[1] * grid[2]
 		base := runTrajectory(t, RuntimeOptions{Grid: grid, Skin: 0.5}, steps, temp)
 
-		tr := transport.NewChan(nr + 1)
-		endpoint := func(r int) transport.Endpoint {
-			ep, err := tr.Endpoint(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ep
-		}
-		procs := make([]*rankProc, nr)
-		for r := range procs {
-			procs[r] = startRankProc(endpoint(r))
-		}
-		sys := data.WaterBox(rand.New(rand.NewPCG(31, 32)), 3, 3, 3)
-		rr, err := NewRemoteRuntime(m, sys, RemoteOptions{Grid: grid, Skin: 0.5, Transport: tr})
-		if err != nil {
-			t.Fatalf("grid %v: %v", grid, err)
-		}
-		sim := md.NewDecomposedSim(sys, rr, 0.5)
-		sim.InitVelocities(temp, rand.New(rand.NewPCG(33, 34)))
-
-		victim := nr - 1
-		killed := false
-		kill := func(step int) {
+		manual := transport.NewChan(nr + 1)
+		killed := false // fire once: the replay passes killAt again
+		variants := []variant{{"chan-manual", manual, func(step int) {
 			if step == killAt && !killed {
 				killed = true
-				tr.(transport.Killer).Kill(victim)
+				manual.(transport.Killer).Kill(nr - 1)
 			}
-		}
-		respawn := func(dead int) *rankProc { return startRankProc(endpoint(dead)) }
-		runSupervised(t, rr, sim, steps, replEach, kill, procs, respawn)
-
-		if sim.Energy != base.Energy {
-			t.Errorf("grid %v: energy %.17g != clean %.17g", grid, sim.Energy, base.Energy)
-		}
-		for i := range base.Sys.Pos {
-			if sim.Sys.Pos[i] != base.Sys.Pos[i] {
-				t.Errorf("grid %v: position of atom %d diverged after replacement", grid, i)
-				break
-			}
-			if sim.Forces[i] != base.Forces[i] {
-				t.Errorf("grid %v: force on atom %d diverged after replacement", grid, i)
-				break
-			}
-		}
-		recs := rr.Recoveries()
-		if len(recs) != 1 {
-			t.Fatalf("grid %v: %d recoveries recorded, want 1", grid, len(recs))
-		}
-		rec := recs[0]
-		if rec.DeadRank != victim || rec.Generation != 1 || rr.Generation() != 1 {
-			t.Errorf("grid %v: recovery record %+v (generation %d), want dead rank %d at generation 1",
-				grid, rec, rr.Generation(), victim)
-		}
-		if rec.RewindSteps < 0 || rec.RewindSteps > 2*replEach {
-			t.Errorf("grid %v: rewound %d steps, outside [0, %d]", grid, rec.RewindSteps, 2*replEach)
-		}
-		if rec.QuiesceNs <= 0 || rec.RestoreNs <= 0 || rec.ResumeNs <= 0 {
-			t.Errorf("grid %v: recovery timers not populated: %+v", grid, rec)
+		}, 1}}
+		if nr > 1 {
+			variants = append(variants, variant{"fault-chaos", transport.NewFault(transport.NewChan(nr+1), transport.FaultPlan{
+				Seed: 1234, Drop: 0.05, Dup: 0.05, Delay: 0.10, KillRank: -1,
+				ChaosKills: 2, ChaosFirst: 15, ChaosEvery: 20, ChaosRanks: nr,
+			}), nil, 2})
 		}
 
-		rr.Close()
-		for r := range procs {
-			if err := <-procs[r].done; err != nil {
-				t.Errorf("grid %v: rank server %d: %v", grid, r, err)
+		for _, v := range variants {
+			endpoint := func(r int) transport.Endpoint {
+				ep, err := v.tr.Endpoint(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ep
+			}
+			procs := make([]*rankProc, nr)
+			for r := range procs {
+				procs[r] = startRankProc(endpoint(r))
+			}
+			sys := data.WaterBox(rand.New(rand.NewPCG(31, 32)), 3, 3, 3)
+			rr, err := NewRemoteRuntime(m, sys, RemoteOptions{Grid: grid, Skin: 0.5, Transport: v.tr})
+			if err != nil {
+				t.Fatalf("grid %v %s: %v", grid, v.name, err)
+			}
+			sim := md.NewDecomposedSim(sys, rr, 0.5)
+			sim.InitVelocities(temp, rand.New(rand.NewPCG(33, 34)))
+
+			respawn := func(dead int) *rankProc { return startRankProc(endpoint(dead)) }
+			runSupervised(t, rr, sim, steps, replEach, v.kill, procs, respawn)
+
+			if sim.Energy != base.Energy {
+				t.Errorf("grid %v %s: energy %.17g != clean %.17g", grid, v.name, sim.Energy, base.Energy)
+			}
+			for i := range base.Sys.Pos {
+				if sim.Sys.Pos[i] != base.Sys.Pos[i] {
+					t.Errorf("grid %v %s: position of atom %d diverged after replacement", grid, v.name, i)
+					break
+				}
+				if sim.Forces[i] != base.Forces[i] {
+					t.Errorf("grid %v %s: force on atom %d diverged after replacement", grid, v.name, i)
+					break
+				}
+			}
+			if f, ok := v.tr.(*transport.Fault); ok {
+				if st := f.Stats(); st.Kills != int64(v.kills) || st.Dups == 0 || st.Drops == 0 || st.Delays == 0 {
+					t.Errorf("grid %v %s: fault stats %+v, want %d kills and some drops, dups and delays", grid, v.name, st, v.kills)
+				}
+			}
+			recs := rr.Recoveries()
+			if len(recs) != v.kills || rr.Generation() != uint64(v.kills) {
+				t.Fatalf("grid %v %s: %d recoveries recorded (generation %d), want %d",
+					grid, v.name, len(recs), rr.Generation(), v.kills)
+			}
+			for i, rec := range recs {
+				if rec.Generation != uint64(i+1) {
+					t.Errorf("grid %v %s: recovery %d opened generation %d, want %d", grid, v.name, i, rec.Generation, i+1)
+				}
+				if v.kill != nil && rec.DeadRank != nr-1 {
+					t.Errorf("grid %v %s: recovery record %+v, want dead rank %d", grid, v.name, rec, nr-1)
+				}
+				if rec.RewindSteps < 0 || rec.RewindSteps > 2*replEach {
+					t.Errorf("grid %v %s: rewound %d steps, outside [0, %d]", grid, v.name, rec.RewindSteps, 2*replEach)
+				}
+				if rec.QuiesceNs <= 0 || rec.RestoreNs <= 0 || rec.ResumeNs <= 0 {
+					t.Errorf("grid %v %s: recovery timers not populated: %+v", grid, v.name, rec)
+				}
+			}
+
+			rr.Close()
+			for r := range procs {
+				if err := <-procs[r].done; err != nil {
+					t.Errorf("grid %v %s: rank server %d: %v", grid, v.name, r, err)
+				}
 			}
 		}
 		base.Close()

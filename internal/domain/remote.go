@@ -34,6 +34,8 @@ import (
 //	                                         Scalars=pair energies in
 //	                                         ascending-slot order
 //	shutdown    driver -> all   KindShutdown
+//	            rank -> driver  KindShutdown ack; the driver then closes
+//	                                         the transport
 //
 // Frames between driver and one rank are ordered (per-link FIFO), and the
 // driver never issues step k+1 before every rank delivered step k, so rank
@@ -113,7 +115,7 @@ type RemoteRuntime struct {
 	cfgBody     []byte
 	generation  uint64
 	replReqTick uint64
-	masterRepl  *replStore
+	driverRepl  *replStore
 	lastOK      time.Time
 	rec         *RecoveryTimers
 	recClear    time.Time
@@ -158,7 +160,7 @@ func NewRemoteRuntime(m *core.Model, sys *atoms.System, opts RemoteOptions) (*Re
 		pairStart: make([]int32, n+1),
 		seen:      make([]bool, nr),
 
-		masterRepl: newReplStore(),
+		driverRepl: newReplStore(),
 	}
 	for k := 0; k < 3; k++ {
 		r.sub[k] = sys.Cell[k] / float64(opts.Grid[k])
@@ -280,9 +282,30 @@ func (r *RemoteRuntime) Close() {
 		f.Reset(transport.KindShutdown, d, r.stepTick)
 		_ = r.ep.Send(f) // best effort: a dead rank cannot be shut down
 	}
-	// Give the frames a moment to flush on buffered wires before the
-	// sockets close under them.
-	time.Sleep(10 * time.Millisecond)
+	// Closing the wire before a rank has read its shutdown fails that
+	// rank's pending Recv, so wait for every rank's acknowledgement (or
+	// death notice). A rank that died unnoticed never answers: the wait is
+	// bounded. Without timed receives, give the frames a moment to flush.
+	if tr, err := r.timedEp(); err == nil {
+		pending := r.nr
+		for s := range r.seen {
+			r.seen[s] = false
+		}
+		for deadline := time.Now().Add(time.Second); pending > 0 && time.Now().Before(deadline); {
+			got, err := tr.RecvTimeout(&r.recvF, time.Until(deadline))
+			if err != nil || !got {
+				break
+			}
+			g := &r.recvF
+			s := int(g.Src)
+			if (g.Kind == transport.KindShutdown || g.Kind == transport.KindDeath) && s >= 0 && s < r.nr && !r.seen[s] {
+				r.seen[s] = true
+				pending--
+			}
+		}
+	} else {
+		time.Sleep(10 * time.Millisecond)
+	}
 	r.tr.Close()
 }
 

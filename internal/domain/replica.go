@@ -1,7 +1,6 @@
 package domain
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/transport"
@@ -17,9 +16,6 @@ import (
 // buddyOf returns the rank that holds rank r's replica shard: each rank
 // streams its state to its successor in rank order.
 func buddyOf(r, nr int) int { return (r + 1) % nr }
-
-// predOf returns the rank whose replica shard rank r holds.
-func predOf(r, nr int) int { return (r - 1 + nr) % nr }
 
 // replShard is one rank's owned-atom snapshot at a replication point. All
 // slices are owned copies (frames are reused by the transport).
@@ -42,16 +38,6 @@ type replStore struct {
 
 func newReplStore() *replStore {
 	return &replStore{byOwner: make(map[int32][]replShard)}
-}
-
-func (s *replStore) reset() {
-	s.byOwner = make(map[int32][]replShard)
-}
-
-// drop forgets every shard owned by the given rank — called when that rank
-// dies and rejoins, since its pre-death self-shard is no longer meaningful.
-func (s *replStore) drop(owner int32) {
-	delete(s.byOwner, owner)
 }
 
 // put stores an owned copy of the shard data, keeping the two newest
@@ -173,126 +159,6 @@ func unpackReplicaRep(f *transport.Frame) ([]replShard, bool) {
 		return nil, false
 	}
 	return shards, true
-}
-
-// Replicate records a replication point: every rank stores its own
-// owned-atom shard of pos/vel (full global arrays, typically the
-// integrator's raw positions and velocities at MD step `step`) and streams
-// it to its buddy rank. After a successful Replicate, any single rank death
-// can be recovered from the survivors' memory via RecoverState. A one-rank
-// world has no peer to buddy with, so the master keeps the replica itself.
-func (r *Runtime) Replicate(step uint64, pos, vel [][3]float64) error {
-	if r.closed {
-		return fmt.Errorf("domain: Replicate on a closed runtime")
-	}
-	if r.err != nil {
-		return r.err
-	}
-	if !r.started {
-		return fmt.Errorf("domain: Replicate before the first step")
-	}
-	if len(pos) != r.n || len(vel) != r.n {
-		return fmt.Errorf("domain: Replicate buffer length mismatch (%d/%d positions, need %d)",
-			len(pos), len(vel), r.n)
-	}
-	r.replStep, r.replSrcPos, r.replSrcVel = step, pos, vel
-	r.dispatchComm(cmdReplicate)
-	r.replSrcPos, r.replSrcVel = nil, nil
-	if len(r.ranks) == 1 {
-		rk := r.ranks[0]
-		r.masterRepl.put(step, 0, rk.gOf[:rk.nOwned], pos, vel)
-	}
-	r.checkFailure()
-	return r.err
-}
-
-// RecoverState reassembles the newest complete replication point from the
-// survivors' replica stores into pos and vel (full global arrays) and
-// returns its step. Call it while the dead-rank marks are still set —
-// before Restore — since a dead rank's own store does not count: its memory
-// is considered lost with the process it models.
-func (r *Runtime) RecoverState(pos, vel [][3]float64) (uint64, bool) {
-	if len(pos) != r.n || len(vel) != r.n {
-		return 0, false
-	}
-	var shards []replShard
-	for _, rk := range r.ranks {
-		if r.deadRank[rk.id].Load() {
-			continue
-		}
-		shards = append(shards, rk.repl.shards()...)
-	}
-	shards = append(shards, r.masterRepl.shards()...)
-	return assembleReplicas(shards, pos, vel)
-}
-
-// execReplicate is the comm-goroutine half of Replicate (cmdReplicate):
-// gather this rank's owned shard, store it, send it to the buddy, and wait
-// for the predecessor's shard. Replica frames are idempotent by (owner,
-// step), so fault-injected duplicates and delayed strays from earlier
-// replication points are harmless.
-func (rk *rank) execReplicate() {
-	rt := rk.rt
-	nr := len(rt.ranks)
-	step := rt.replStep
-	ids := rk.gOf[:rk.nOwned]
-	if cap(rk.replPos) < rk.nOwned {
-		rk.replPos = make([][3]float64, rk.nOwned)
-		rk.replVel = make([][3]float64, rk.nOwned)
-	}
-	rk.replPos = rk.replPos[:rk.nOwned]
-	rk.replVel = rk.replVel[:rk.nOwned]
-	for k, g := range ids {
-		rk.replPos[k] = rt.replSrcPos[g]
-		rk.replVel[k] = rt.replSrcVel[g]
-	}
-	rk.repl.put(step, int32(rk.id), ids, rk.replPos, rk.replVel)
-	if nr == 1 {
-		return
-	}
-	buddy := buddyOf(rk.id, nr)
-	if rt.deadRank[buddy].Load() {
-		rk.noteDeath(buddy)
-	} else {
-		packReplica(&rk.sendF, buddy, step, ids, rk.replPos, rk.replVel)
-		if err := rk.ep.Send(&rk.sendF); err != nil {
-			rk.handleSendErr(buddy, err)
-		}
-	}
-	pred := predOf(rk.id, nr)
-	expect := !rt.deadRank[pred].Load()
-	for expect {
-		if err := rk.recvExpect(transport.KindReplica, transport.KindInvalid); err != nil {
-			rk.noteErr(err)
-			return
-		}
-		g := &rk.recvF
-		s := int(g.Src)
-		switch g.Kind {
-		case transport.KindReplica:
-			if s < 0 || s >= nr {
-				continue
-			}
-			if !rk.repl.unpackReplica(g, int32(s)) {
-				rk.noteErr(fmt.Errorf("domain: rank %d: malformed replica frame from %d", rk.id, s))
-				return
-			}
-			if s == pred && g.Step == step {
-				expect = false
-			}
-		case transport.KindDeath:
-			rk.noteDeath(s)
-			if s == pred || s == rk.id {
-				expect = false
-			}
-		case transport.KindRecover:
-			rk.stashData()
-			rk.noteErr(errRecoverInterrupt)
-			expect = false
-		default:
-			rk.stashData()
-		}
-	}
 }
 
 // assembleReplicas picks the newest replication point whose shards cover

@@ -46,14 +46,6 @@ type RuntimeOptions struct {
 	// canonical slot arithmetic does not. Off runs the same phases
 	// bulk-synchronously.
 	Overlap bool
-	// Transport carries the ghost-position exchange and the reverse
-	// force-row reduction between ranks as framed messages. Nil selects the
-	// in-process channel transport (owned and closed by the runtime).
-	// Because positions and rows travel as IEEE-754 bit patterns and every
-	// receiver scatters them through rebuild-time exchange plans into the
-	// same canonical slots, trajectories are bit-identical across
-	// transports (chan, tcp on localhost, fault wrappers with no-op plans).
-	Transport transport.Transport
 }
 
 // RuntimeStats aggregates the runtime's behaviour over its lifetime.
@@ -171,11 +163,6 @@ const (
 	// KindRows frames and settle into their canonical slots before the
 	// frontier reduction reads them.
 	cmdExchangeRows
-	// cmdReplicate streams each rank's owned-atom snapshot (global ids,
-	// positions, velocities at the current replication point) to its buddy
-	// rank and stores the predecessor's shard — the peer-redundant in-memory
-	// replication behind elastic recovery (see replica.go).
-	cmdReplicate
 )
 
 // Runtime is the persistent domain-decomposed force engine: long-lived rank
@@ -207,9 +194,16 @@ const (
 // bit-identical across rank grids, worker counts, skin values, and overlap
 // on/off.
 //
+// The ranks exchange frames over an in-process channel transport the
+// runtime builds and owns. Goroutine ranks cannot die, so there is no
+// failure path: rank failure and elastic recovery exist only on the
+// multi-process fleet (RemoteRuntime + RankServer), which runs the same
+// rank phases.
+//
 // A Runtime is bound to the *atoms.System it was constructed with and
 // serves one simulation loop; it implements md.InPlacePotential and
-// md.PipelinedPotential. Call Close to release the rank workers.
+// md.PipelinedPotential. Call Close to release the rank workers and the
+// transport.
 type Runtime struct {
 	model *core.Model
 	sys   *atoms.System
@@ -252,25 +246,15 @@ type Runtime struct {
 	parity   int       // double-buffer half the current step's exchange fills
 	postTime time.Time // when the current step's exchange was posted
 
-	// Transport state: the pluggable message layer the comm goroutines post
-	// through. stepTick/rebuildTick tag frames so receivers can discard
-	// duplicates and stale deliveries; deadRank records peers whose death a
-	// comm goroutine observed (notices or send failures); err latches the
-	// first rank failure until Restore clears it.
+	// Transport state: the in-process channel transport the comm goroutines
+	// post through (nil in a RankServer's headless shell, whose rank owns a
+	// process endpoint). stepTick/rebuildTick tag frames so receivers can
+	// discard duplicates and stale deliveries; deadRank records peers whose
+	// death a rank server's phases observed (in-process ranks cannot die).
 	tr          transport.Transport
-	ownTr       bool
 	stepTick    uint64
 	rebuildTick uint64
 	deadRank    []atomic.Bool
-	err         error
-
-	// Replication state (see replica.go): the master-held store covering the
-	// degenerate one-rank world (a single rank has no peer to buddy with),
-	// plus the staging arguments of the current cmdReplicate phase.
-	masterRepl *replStore
-	replStep   uint64
-	replSrcPos [][3]float64
-	replSrcVel [][3]float64
 
 	forces  [][3]float64 // caller buffer, set for the duration of one step
 	energy  float64
@@ -364,13 +348,9 @@ type rank struct {
 	rowRecv  [][]int32
 
 	// commErr latches this rank's first transport failure of the current
-	// run; the master surfaces it through Runtime.Err after barriers.
+	// phase: a rank server NACKs the driver with it, the in-process master
+	// treats it as a bug (checkFailure).
 	commErr error
-
-	// Replica store and gather scratch of the replication phase (see
-	// replica.go): repl holds this rank's own shard plus its predecessor's.
-	repl             *replStore
-	replPos, replVel [][3]float64
 }
 
 // centerCode is the image code of an atom's own (unshifted) copy.
@@ -413,60 +393,20 @@ func NewRuntime(m *core.Model, sys *atoms.System, opts RuntimeOptions) (*Runtime
 	for k := 0; k < 3; k++ {
 		r.sub[k] = sys.Cell[k] / float64(opts.Grid[k])
 	}
-	wpr := opts.WorkersPerRank
-	if wpr <= 0 {
-		wpr = 1 // by default parallelism comes from the ranks themselves
-	}
-	r.tr = opts.Transport
-	if r.tr == nil {
-		r.tr = transport.NewChan(nr)
-		r.ownTr = true
-	}
-	if r.tr.Ranks() < nr {
-		return nil, fmt.Errorf("domain: transport serves %d ranks, grid needs %d", r.tr.Ranks(), nr)
-	}
+	r.tr = transport.NewChan(nr)
 	r.deadRank = make([]atomic.Bool, nr)
-	r.masterRepl = newReplStore()
 	r.done = make(chan struct{}, nr)
 	r.commDone = make(chan struct{}, nr)
 	r.cmds = make([]chan rankCmd, nr)
 	r.comm = make([]chan rankCmd, nr)
 	r.ranks = make([]*rank, nr)
 	for id := 0; id < nr; id++ {
-		g := opts.Grid
-		cz := id % g[2]
-		cy := (id / g[2]) % g[1]
-		cx := id / (g[1] * g[2])
-		rk := &rank{rt: r, id: id, scratch: core.NewEvalScratch(), local: atoms.NewSystem(0)}
-		coord := [3]int{cx, cy, cz}
-		for k := 0; k < 3; k++ {
-			rk.lo[k] = float64(coord[k]) * r.sub[k]
-			rk.hi[k] = rk.lo[k] + r.sub[k]
-		}
-		// The per-rank budget bounds both the local neighbor builds and the
-		// scratch's chunked-graph evaluation (overriding Config.Workers, so
-		// a loaded model's global worker setting cannot oversubscribe the
-		// node with ranks x GOMAXPROCS pools).
-		rk.builder.Workers = wpr
-		rk.scratch.Workers = wpr
-		rk.builder.Skin = opts.Skin
 		ep, err := r.tr.Endpoint(id)
 		if err != nil {
-			if r.ownTr {
-				r.tr.Close()
-			}
+			r.tr.Close()
 			return nil, fmt.Errorf("domain: transport endpoint for rank %d: %w", id, err)
 		}
-		rk.ep = ep
-		rk.seen = make([]bool, nr)
-		rk.planBits = make([]uint8, nr)
-		rk.fwdNeed = make([][]int32, nr)
-		rk.fwdArena = make([][]int32, nr)
-		rk.sendFwd = make([][]int32, nr)
-		rk.rowSendT = make([][]int32, nr)
-		rk.rowPlan = make([][]int32, nr)
-		rk.rowRecv = make([][]int32, nr)
-		rk.repl = newReplStore()
+		rk := newRank(r, id, ep)
 		r.ranks[id] = rk
 		r.cmds[id] = make(chan rankCmd, 1)
 		r.comm[id] = make(chan rankCmd, 1)
@@ -475,6 +415,38 @@ func NewRuntime(m *core.Model, sys *atoms.System, opts RuntimeOptions) (*Runtime
 		go rk.commLoop(r.comm[id])
 	}
 	return r, nil
+}
+
+// newRank builds the persistent state of rank id of rt's grid: its
+// subdomain bounds, evaluation scratch, neighbor builder and per-peer plan
+// slices, attached to the transport endpoint ep. The in-process runtime and
+// a RankServer's headless shell build their ranks through it alike.
+func newRank(rt *Runtime, id int, ep transport.Endpoint) *rank {
+	workers := rt.WorkersPerRank()
+	nr := len(rt.ranks)
+	g := rt.grid
+	coord := [3]int{id / (g[1] * g[2]), (id / g[2]) % g[1], id % g[2]}
+	rk := &rank{rt: rt, id: id, ep: ep, scratch: core.NewEvalScratch(), local: atoms.NewSystem(0)}
+	for k := 0; k < 3; k++ {
+		rk.lo[k] = float64(coord[k]) * rt.sub[k]
+		rk.hi[k] = rk.lo[k] + rt.sub[k]
+	}
+	// The per-rank budget bounds both the local neighbor builds and the
+	// scratch's chunked-graph evaluation (overriding Config.Workers, so a
+	// loaded model's global worker setting cannot oversubscribe the node
+	// with ranks x GOMAXPROCS pools).
+	rk.builder.Workers = workers
+	rk.scratch.Workers = workers
+	rk.builder.Skin = rt.skin
+	rk.seen = make([]bool, nr)
+	rk.planBits = make([]uint8, nr)
+	rk.fwdNeed = make([][]int32, nr)
+	rk.fwdArena = make([][]int32, nr)
+	rk.sendFwd = make([][]int32, nr)
+	rk.rowSendT = make([][]int32, nr)
+	rk.rowPlan = make([][]int32, nr)
+	rk.rowRecv = make([][]int32, nr)
+	return rk
 }
 
 // validateRuntime checks the decomposition invariants.
@@ -553,8 +525,6 @@ func (rk *rank) commLoop(cmds chan rankCmd) {
 			rk.execPlanExchange()
 		case cmdExchangeRows:
 			rk.execExchangeRows()
-		case cmdReplicate:
-			rk.execReplicate()
 		}
 		rk.rt.commDone <- struct{}{}
 	}
@@ -607,9 +577,7 @@ func (r *Runtime) Close() {
 		close(ch)
 	}
 	r.wg.Wait()
-	if r.ownTr {
-		r.tr.Close()
-	}
+	r.tr.Close()
 }
 
 // Stats returns the accumulated runtime statistics.
@@ -660,20 +628,10 @@ func (r *Runtime) EnergyForcesOverlap(sys *atoms.System, forces [][3]float64, re
 	if len(forces) != r.n {
 		panic("domain: force buffer length mismatch")
 	}
-	if r.err != nil {
-		// A rank failure is latched: forces and energy are stale, the
-		// caller's integration state is poisoned from the failing step on.
-		// Recovery is Restore (revive + forced rebuild) followed by
-		// rewinding the integrator to a checkpoint.
-		return r.energy
-	}
 	r.wrap()
 	r.stepTick++
 	if r.needRebuild() {
 		r.rebuild()
-		if r.err != nil {
-			return r.energy
-		}
 	}
 	r.forces = forces
 	r.parity ^= 1

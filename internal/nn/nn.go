@@ -269,9 +269,13 @@ func (e *EMA) CopyTo(ps *ParamSet) {
 	ps.Bump()
 }
 
-// GradAccumulator sums gradients across structures in a batch.
+// GradAccumulator sums gradients across structures in a batch. Buffers are
+// kept in the order their parameters were first accumulated (ParamSet order
+// under AddFrom), so reductions over all of them — ClipNorm's global norm —
+// give the same bits on every call.
 type GradAccumulator struct {
 	grads map[*tensor.Tensor]*tensor.Tensor
+	order []*tensor.Tensor // accumulated buffers, in first-accumulation order
 }
 
 // NewGradAccumulator returns an empty accumulator.
@@ -286,22 +290,25 @@ func (ga *GradAccumulator) AddFrom(b *Binder, ps *ParamSet) {
 		if g == nil {
 			continue
 		}
-		acc, ok := ga.grads[p.T]
-		if !ok {
-			acc = tensor.New(p.T.Shape...)
-			ga.grads[p.T] = acc
-		}
-		acc.AddInPlace(g, tensor.F64)
+		ga.buffer(p.T).AddInPlace(g, tensor.F64)
 	}
 }
 
-// AddScaled accumulates scale*g into the buffer for parameter t.
-func (ga *GradAccumulator) AddScaled(t *tensor.Tensor, g *tensor.Tensor, scale float64) {
+// buffer returns the accumulation buffer of parameter t, creating it on
+// first use.
+func (ga *GradAccumulator) buffer(t *tensor.Tensor) *tensor.Tensor {
 	acc, ok := ga.grads[t]
 	if !ok {
 		acc = tensor.New(t.Shape...)
 		ga.grads[t] = acc
+		ga.order = append(ga.order, acc)
 	}
+	return acc
+}
+
+// AddScaled accumulates scale*g into the buffer for parameter t.
+func (ga *GradAccumulator) AddScaled(t *tensor.Tensor, g *tensor.Tensor, scale float64) {
+	acc := ga.buffer(t)
 	for i, v := range g.Data {
 		acc.Data[i] += scale * v
 	}
@@ -312,25 +319,29 @@ func (ga *GradAccumulator) Grad(t *tensor.Tensor) *tensor.Tensor { return ga.gra
 
 // Scale multiplies all accumulated gradients by s (e.g. 1/batchSize).
 func (ga *GradAccumulator) Scale(s float64) {
-	for _, g := range ga.grads {
+	for _, g := range ga.order {
 		g.Scale(s, tensor.F64)
 	}
 }
 
 // Reset clears the accumulator for the next batch.
-func (ga *GradAccumulator) Reset() { ga.grads = map[*tensor.Tensor]*tensor.Tensor{} }
+func (ga *GradAccumulator) Reset() {
+	ga.grads = map[*tensor.Tensor]*tensor.Tensor{}
+	ga.order = nil
+}
 
 // ClipNorm rescales accumulated gradients so their global L2 norm is at most
-// maxNorm, returning the pre-clip norm.
+// maxNorm, returning the pre-clip norm. Squared norms are summed in
+// first-accumulation order, so the result is bit-reproducible.
 func (ga *GradAccumulator) ClipNorm(maxNorm float64) float64 {
 	total := 0.0
-	for _, g := range ga.grads {
+	for _, g := range ga.order {
 		total += g.Dot(g)
 	}
 	norm := math.Sqrt(total)
 	if norm > maxNorm && norm > 0 {
 		f := maxNorm / norm
-		for _, g := range ga.grads {
+		for _, g := range ga.order {
 			g.Scale(f, tensor.F64)
 		}
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -134,12 +135,14 @@ func TestMLPTrainingEndToEnd(t *testing.T) {
 		xs.Data[i] = x
 		ys.Data[i] = math.Sin(2 * x)
 	}
+	negYs := ys.Clone()
+	negYs.Scale(-1, tensor.F64)
 	var last float64
 	for epoch := 0; epoch < 400; epoch++ {
 		tape := ad.NewTape(tensor.F64, tensor.F64)
 		b := NewBinder(tape, true)
 		pred := m.Apply(b, tape.Const(xs))
-		diff := tape.Sub(pred, tape.Const(ys))
+		diff := tape.Add(pred, tape.Const(negYs))
 		loss := tape.Scale(tape.SumAll(tape.Square(diff)), 1/float64(n))
 		tape.Backward(loss)
 		opt.Step(ps, b.Grad)
@@ -182,6 +185,32 @@ func TestGradAccumulator(t *testing.T) {
 	ga.Reset()
 	if ga.Grad(w) != nil {
 		t.Fatal("Reset must clear gradients")
+	}
+}
+
+// TestGradAccumulatorClipNormReproducible: the global norm is one sum over
+// every accumulated buffer, and its rounding depends on the order of the
+// terms. Identical calls must return identical bits, equal to the sum taken
+// in first-accumulation order.
+func TestGradAccumulatorClipNormReproducible(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 10))
+	ps := NewParamSet()
+	ga := NewGradAccumulator()
+	want := 0.0
+	for k := 0; k < 40; k++ {
+		p := ps.Add(fmt.Sprintf("p%d", k), tensor.New(3))
+		g := tensor.New(3)
+		for i := range g.Data {
+			g.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.IntN(7)-3))
+		}
+		ga.AddScaled(p, g, 1)
+		want += g.Dot(g)
+	}
+	want = math.Sqrt(want)
+	for call := 0; call < 200; call++ {
+		if got := ga.ClipNorm(math.Inf(1)); got != want {
+			t.Fatalf("call %d: pre-clip norm %.17g, want %.17g (the insertion-order sum)", call, got, want)
+		}
 	}
 }
 

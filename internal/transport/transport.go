@@ -7,10 +7,10 @@
 // Three implementations ship:
 //
 //   - NewChan: in-process Go channels between rank goroutines — the MPI
-//     stand-in the runtime always had, extracted behind the interface.
-//     Frames are staged into preallocated per-link buffers (no wire
-//     serialization, no steady-state allocation), so the single-process
-//     runtime keeps its zero-allocation step.
+//     stand-in the in-process runtime builds and owns. Frames are staged
+//     into preallocated per-link buffers (no wire serialization, no
+//     steady-state allocation), so the single-process runtime keeps its
+//     zero-allocation step.
 //   - NewTCP: stdlib net sockets between OS processes — length-prefixed
 //     frames over persistent connections, bounded dial retry with backoff,
 //     write deadlines, heartbeat-based peer liveness, and measured per-link
@@ -18,7 +18,8 @@
 //   - NewFault: a wrapper injecting message drops (retransmitted after a
 //     delay, the reliable-link abstraction), duplicate delivery, random
 //     delays, and scheduled rank death under a seeded plan — the test
-//     harness for the runtime's failure-recovery path.
+//     harness of the rank-server fleet (driver and rank servers over one
+//     wrapped world), the only path that can lose a rank and recover.
 //
 // Delivery contract: frames between one (src, dst) pair arrive in order on
 // the chan and tcp transports; the fault transport may duplicate or delay
@@ -73,7 +74,7 @@ type Killer interface {
 }
 
 // Reviver is implemented by transports that can bring a killed rank back —
-// the rejoin half of the runtime's Restore-and-rejoin recovery protocol.
+// the rejoin half of the fleet's quiesce-and-rejoin recovery protocol.
 type Reviver interface {
 	Revive(rank int) error
 }
