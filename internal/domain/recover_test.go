@@ -1,11 +1,14 @@
 package domain
 
 import (
+	"bytes"
+	"context"
 	"math/rand/v2"
 	"net"
 	"testing"
 	"time"
 
+	"repro/internal/atoms"
 	"repro/internal/data"
 	"repro/internal/md"
 	"repro/internal/transport"
@@ -109,117 +112,271 @@ func runSupervised(t *testing.T, rr *RemoteRuntime, sim *md.DecomposedSim, steps
 	}
 }
 
+// Recovery trajectories: 40 NVE steps (the thermostat RNG is not
+// replicated, so determinism is only defined without one), replicated
+// every 5 steps.
+const (
+	recSteps    = 40
+	recReplEach = 5
+	recTemp     = 600.0
+)
+
+// checkElasticRecovery runs a supervised trajectory on rank servers over
+// tr (world nr+1), with kill (nil under scheduled chaos) invoked at every
+// step boundary, and requires it to be bit-identical to base, the
+// failure-free in-process run of the same grid. The recovery timers must
+// record exactly `kills` recoveries, one generation each; manual kills
+// target the last rank.
+func checkElasticRecovery(t *testing.T, name string, grid [3]int, tr transport.Transport, kill func(step int), kills int, base *md.DecomposedSim) {
+	t.Helper()
+	nr := grid[0] * grid[1] * grid[2]
+	endpoint := func(r int) transport.Endpoint {
+		ep, err := tr.Endpoint(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	procs := make([]*rankProc, nr)
+	for r := range procs {
+		procs[r] = startRankProc(endpoint(r))
+	}
+	sys := data.WaterBox(rand.New(rand.NewPCG(31, 32)), 3, 3, 3)
+	rr, err := NewRemoteRuntime(tinyModel(t), sys, RemoteOptions{Grid: grid, Skin: 0.5, Transport: tr})
+	if err != nil {
+		t.Fatalf("grid %v %s: %v", grid, name, err)
+	}
+	sim := md.NewDecomposedSim(sys, rr, 0.5)
+	sim.InitVelocities(recTemp, rand.New(rand.NewPCG(33, 34)))
+
+	respawn := func(dead int) *rankProc { return startRankProc(endpoint(dead)) }
+	runSupervised(t, rr, sim, recSteps, recReplEach, kill, procs, respawn)
+
+	if sim.Energy != base.Energy {
+		t.Errorf("grid %v %s: energy %.17g != clean %.17g", grid, name, sim.Energy, base.Energy)
+	}
+	for i := range base.Sys.Pos {
+		if sim.Sys.Pos[i] != base.Sys.Pos[i] {
+			t.Errorf("grid %v %s: position of atom %d diverged after replacement", grid, name, i)
+			break
+		}
+		if sim.Forces[i] != base.Forces[i] {
+			t.Errorf("grid %v %s: force on atom %d diverged after replacement", grid, name, i)
+			break
+		}
+	}
+	if f, ok := tr.(*transport.Fault); ok {
+		if st := f.Stats(); st.Kills != int64(kills) || st.Dups == 0 || st.Drops == 0 || st.Delays == 0 {
+			t.Errorf("grid %v %s: fault stats %+v, want %d kills and some drops, dups and delays", grid, name, st, kills)
+		}
+	}
+	recs := rr.Recoveries()
+	if len(recs) != kills || rr.Generation() != uint64(kills) {
+		t.Fatalf("grid %v %s: %d recoveries recorded (generation %d), want %d",
+			grid, name, len(recs), rr.Generation(), kills)
+	}
+	for i, rec := range recs {
+		if rec.Generation != uint64(i+1) {
+			t.Errorf("grid %v %s: recovery %d opened generation %d, want %d", grid, name, i, rec.Generation, i+1)
+		}
+		if kill != nil && rec.DeadRank != nr-1 {
+			t.Errorf("grid %v %s: recovery record %+v, want dead rank %d", grid, name, rec, nr-1)
+		}
+		if rec.RewindSteps < 0 || rec.RewindSteps > 2*recReplEach {
+			t.Errorf("grid %v %s: rewound %d steps, outside [0, %d]", grid, name, rec.RewindSteps, 2*recReplEach)
+		}
+		if rec.QuiesceNs <= 0 || rec.RestoreNs <= 0 || rec.ResumeNs <= 0 {
+			t.Errorf("grid %v %s: recovery timers not populated: %+v", grid, name, rec)
+		}
+	}
+
+	rr.Close()
+	for r := range procs {
+		if err := <-procs[r].done; err != nil {
+			t.Errorf("grid %v %s: rank server %d: %v", grid, name, r, err)
+		}
+	}
+}
+
 // TestRemoteRuntimeElasticRecoveryBitwise is the elastic recovery property
 // on every rank grid: a rank server is killed mid-trajectory, a fresh
 // replacement is admitted into a new generation (config reshipped, state
 // reassembled from the survivors' buddy shards — no disk), and the finished
 // trajectory is bit-identical to the failure-free run. The recovery timers
-// must record exactly one recovery per kill. The chaos variant runs two
-// seeded kills on a wire that also drops, duplicates and delays frames, on
-// the multi-rank grids. NVE throughout: the thermostat RNG is not
-// replicated, so determinism is only defined without one.
+// must record exactly one recovery.
 func TestRemoteRuntimeElasticRecoveryBitwise(t *testing.T) {
-	const (
-		steps    = 40
-		replEach = 5
-		killAt   = 17
-		temp     = 600.0
-	)
-	type variant struct {
-		name  string
-		tr    transport.Transport
-		kill  func(step int) // manual kill hook, nil under scheduled chaos
-		kills int            // recoveries the run must record
-	}
-	m := tinyModel(t)
+	const killAt = 17
 	for _, grid := range [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 2}} {
 		nr := grid[0] * grid[1] * grid[2]
-		base := runTrajectory(t, RuntimeOptions{Grid: grid, Skin: 0.5}, steps, temp)
-
-		manual := transport.NewChan(nr + 1)
+		base := runTrajectory(t, RuntimeOptions{Grid: grid, Skin: 0.5}, recSteps, recTemp)
+		tr := transport.NewChan(nr + 1)
 		killed := false // fire once: the replay passes killAt again
-		variants := []variant{{"chan-manual", manual, func(step int) {
+		kill := func(step int) {
 			if step == killAt && !killed {
 				killed = true
-				manual.(transport.Killer).Kill(nr - 1)
-			}
-		}, 1}}
-		if nr > 1 {
-			variants = append(variants, variant{"fault-chaos", transport.NewFault(transport.NewChan(nr+1), transport.FaultPlan{
-				Seed: 1234, Drop: 0.05, Dup: 0.05, Delay: 0.10, KillRank: -1,
-				ChaosKills: 2, ChaosFirst: 15, ChaosEvery: 20, ChaosRanks: nr,
-			}), nil, 2})
-		}
-
-		for _, v := range variants {
-			endpoint := func(r int) transport.Endpoint {
-				ep, err := v.tr.Endpoint(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return ep
-			}
-			procs := make([]*rankProc, nr)
-			for r := range procs {
-				procs[r] = startRankProc(endpoint(r))
-			}
-			sys := data.WaterBox(rand.New(rand.NewPCG(31, 32)), 3, 3, 3)
-			rr, err := NewRemoteRuntime(m, sys, RemoteOptions{Grid: grid, Skin: 0.5, Transport: v.tr})
-			if err != nil {
-				t.Fatalf("grid %v %s: %v", grid, v.name, err)
-			}
-			sim := md.NewDecomposedSim(sys, rr, 0.5)
-			sim.InitVelocities(temp, rand.New(rand.NewPCG(33, 34)))
-
-			respawn := func(dead int) *rankProc { return startRankProc(endpoint(dead)) }
-			runSupervised(t, rr, sim, steps, replEach, v.kill, procs, respawn)
-
-			if sim.Energy != base.Energy {
-				t.Errorf("grid %v %s: energy %.17g != clean %.17g", grid, v.name, sim.Energy, base.Energy)
-			}
-			for i := range base.Sys.Pos {
-				if sim.Sys.Pos[i] != base.Sys.Pos[i] {
-					t.Errorf("grid %v %s: position of atom %d diverged after replacement", grid, v.name, i)
-					break
-				}
-				if sim.Forces[i] != base.Forces[i] {
-					t.Errorf("grid %v %s: force on atom %d diverged after replacement", grid, v.name, i)
-					break
-				}
-			}
-			if f, ok := v.tr.(*transport.Fault); ok {
-				if st := f.Stats(); st.Kills != int64(v.kills) || st.Dups == 0 || st.Drops == 0 || st.Delays == 0 {
-					t.Errorf("grid %v %s: fault stats %+v, want %d kills and some drops, dups and delays", grid, v.name, st, v.kills)
-				}
-			}
-			recs := rr.Recoveries()
-			if len(recs) != v.kills || rr.Generation() != uint64(v.kills) {
-				t.Fatalf("grid %v %s: %d recoveries recorded (generation %d), want %d",
-					grid, v.name, len(recs), rr.Generation(), v.kills)
-			}
-			for i, rec := range recs {
-				if rec.Generation != uint64(i+1) {
-					t.Errorf("grid %v %s: recovery %d opened generation %d, want %d", grid, v.name, i, rec.Generation, i+1)
-				}
-				if v.kill != nil && rec.DeadRank != nr-1 {
-					t.Errorf("grid %v %s: recovery record %+v, want dead rank %d", grid, v.name, rec, nr-1)
-				}
-				if rec.RewindSteps < 0 || rec.RewindSteps > 2*replEach {
-					t.Errorf("grid %v %s: rewound %d steps, outside [0, %d]", grid, v.name, rec.RewindSteps, 2*replEach)
-				}
-				if rec.QuiesceNs <= 0 || rec.RestoreNs <= 0 || rec.ResumeNs <= 0 {
-					t.Errorf("grid %v %s: recovery timers not populated: %+v", grid, v.name, rec)
-				}
-			}
-
-			rr.Close()
-			for r := range procs {
-				if err := <-procs[r].done; err != nil {
-					t.Errorf("grid %v %s: rank server %d: %v", grid, v.name, r, err)
-				}
+				tr.(transport.Killer).Kill(nr - 1)
 			}
 		}
+		checkElasticRecovery(t, "chan-manual", grid, tr, kill, 1, base)
 		base.Close()
+	}
+}
+
+// TestRuntimeChaosRecoveryBitwise is the elastic recovery property under
+// chaos: two seeded kills, at ranks and ticks the fault plan picks, on a
+// wire that also drops, duplicates and delays frames. The supervise loop —
+// recover state from the survivors' buddy shards, readmit the replacement,
+// rewind the integrator to the replication point — must reproduce the
+// failure-free trajectory bit for bit, with two recoveries recorded, on
+// every multi-rank grid (a one-rank fleet has no peer traffic for the
+// chaos schedule to cut).
+func TestRuntimeChaosRecoveryBitwise(t *testing.T) {
+	for _, grid := range [][3]int{{2, 1, 1}, {2, 2, 2}} {
+		nr := grid[0] * grid[1] * grid[2]
+		base := runTrajectory(t, RuntimeOptions{Grid: grid, Skin: 0.5}, recSteps, recTemp)
+		tr := transport.NewFault(transport.NewChan(nr+1), transport.FaultPlan{
+			Seed: 1234, Drop: 0.05, Dup: 0.05, Delay: 0.10, KillRank: -1,
+			ChaosKills: 2, ChaosFirst: 15, ChaosEvery: 20, ChaosRanks: nr,
+		})
+		checkElasticRecovery(t, "fault-chaos", grid, tr, nil, 2, base)
+		base.Close()
+	}
+}
+
+// TestRuntimeRankDeathRecovery exercises the checkpoint side of the failure
+// path: a seeded fault plan kills a rank server mid-trajectory, the
+// survivors detect the death without hanging a phase, the driver surfaces
+// it through RemoteRuntime.Err, and Quiesce + Rejoin + a rewind from an
+// md.Simulation checkpoint (no replication) reproduces the uninterrupted
+// in-process trajectory bit for bit: rebuilds are invisible to the
+// physics, so the recovered run re-enters the exact same orbit.
+func TestRuntimeRankDeathRecovery(t *testing.T) {
+	const (
+		steps    = 40
+		ckptAt   = 20
+		killTick = 30 // force-call tick (the construction evaluation is tick 1)
+		temp     = 600.0
+		seed     = 7
+		dt       = 0.5
+	)
+	grid := [3]int{2, 1, 1}
+	nr := 2
+	m := tinyModel(t)
+	newSim := func(pot md.Potential, sys *atoms.System) *md.Simulation {
+		sim, err := md.NewSimulation(sys, pot,
+			md.WithTimestep(dt), md.WithSeed(seed), md.WithTemperature(temp),
+			md.WithThermostat(nil)) // NVE: recovery must be bitwise, not statistical
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+
+	// Reference: the uninterrupted in-process run.
+	refSys := data.WaterBox(rand.New(rand.NewPCG(31, 32)), 3, 3, 3)
+	rt, err := NewRuntime(m, refSys, RuntimeOptions{Grid: grid, Skin: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newSim(rt, refSys)
+	defer ref.Close()
+	if err := ref.Run(context.Background(), steps); err != nil {
+		t.Fatal(err)
+	}
+	refRep := ref.Report()
+
+	// Faulted run: rank 1 dies at the scheduled tick.
+	fault := transport.NewFault(transport.NewChan(nr+1), transport.FaultPlan{
+		Seed: 99, KillRank: 1, KillAtStep: killTick,
+	})
+	endpoint := func(r int) transport.Endpoint {
+		ep, err := fault.Endpoint(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	procs := make([]*rankProc, nr)
+	for r := range procs {
+		procs[r] = startRankProc(endpoint(r))
+	}
+	sys := data.WaterBox(rand.New(rand.NewPCG(31, 32)), 3, 3, 3)
+	rr, err := NewRemoteRuntime(m, sys, RemoteOptions{Grid: grid, Skin: 0.5, Transport: fault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := newSim(rr, sys)
+
+	var ckpt bytes.Buffer
+	if err := sim.Run(context.Background(), ckptAt); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+
+	// Step into the failure. The integrator keeps calling the driver; once
+	// the kill fires, Err latches and force calls short-circuit.
+	for i := ckptAt; i < steps && rr.Err() == nil; i++ {
+		sim.Step()
+	}
+	rf, ok := AsRankFailure(rr.Err())
+	if !ok || rf.Rank != 1 {
+		t.Fatalf("scheduled kill at tick %d surfaced as %v, want a failure of rank 1", killTick, rr.Err())
+	}
+	if stats := fault.Stats(); stats.Kills != 1 {
+		t.Fatalf("fault stats record %d kills, want 1", stats.Kills)
+	}
+
+	// Recover: readmit a replacement, then rewind the integrator. The fleet
+	// must be whole first — Resume re-evaluates forces, which needs live
+	// ranks.
+	select {
+	case <-procs[rf.Rank].done:
+	case <-time.After(15 * time.Second):
+		t.Fatalf("rank %d's dead server never exited", rf.Rank)
+	}
+	if err := rr.Quiesce(rf.Rank); err != nil {
+		t.Fatalf("Quiesce: %v", err)
+	}
+	procs[rf.Rank] = startRankProc(endpoint(rf.Rank))
+	if err := rr.Rejoin(rf.Rank, 20*time.Second); err != nil {
+		t.Fatalf("Rejoin: %v", err)
+	}
+	rr.ClearFailure(sim.Report().Step - ckptAt)
+	if err := sim.Resume(bytes.NewReader(ckpt.Bytes())); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if err := sim.Run(context.Background(), steps-ckptAt); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Err() != nil {
+		t.Fatalf("recovered run failed again: %v", rr.Err())
+	}
+
+	rep := sim.Report()
+	if rep.Step != refRep.Step {
+		t.Fatalf("recovered run ended at step %d, reference at %d", rep.Step, refRep.Step)
+	}
+	if rep.PotentialEnergy != refRep.PotentialEnergy || rep.TotalEnergy != refRep.TotalEnergy {
+		t.Errorf("recovered energies diverged: E_pot %.17g vs %.17g, E_tot %.17g vs %.17g",
+			rep.PotentialEnergy, refRep.PotentialEnergy, rep.TotalEnergy, refRep.TotalEnergy)
+	}
+	for i := range refSys.Pos {
+		if sys.Pos[i] != refSys.Pos[i] {
+			t.Errorf("recovered position of atom %d diverged: %v vs %v", i, sys.Pos[i], refSys.Pos[i])
+			break
+		}
+	}
+	if recs := rr.Recoveries(); len(recs) != 1 || recs[0].DeadRank != 1 || rr.Generation() != 1 {
+		t.Errorf("recoveries %+v (generation %d), want one recovery of rank 1 at generation 1", recs, rr.Generation())
+	}
+
+	sim.Close() // closes the driver, which shuts the fleet down
+	for r := range procs {
+		if err := <-procs[r].done; err != nil {
+			t.Errorf("rank server %d: %v", r, err)
+		}
 	}
 }
 

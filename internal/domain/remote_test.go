@@ -125,12 +125,26 @@ func checkRemoteBitwise(t *testing.T, name string, grid [3]int, tr transport.Tra
 // driver protocol — the exact frame sequence allegro-rankd processes serve —
 // must be bit-identical to the in-process runtime on every rank grid. The
 // servers run as goroutines here; the protocol does not know the
-// difference. The wire must not matter either: positions and rows travel
-// as IEEE-754 bit patterns and land in canonical slots, so the channel
-// transport and the fault-injection wrapper — transparent, and actively
-// dropping, duplicating and delaying frames, which every receiver discards
-// by (Src, Kind, Step) — give the same bits.
+// difference.
 func TestRemoteRuntimeBitwiseVsLocal(t *testing.T) {
+	const steps, temp = 30, 600.0
+	for _, grid := range [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 2}} {
+		nr := grid[0] * grid[1] * grid[2]
+		base := runTrajectory(t, RuntimeOptions{Grid: grid, Skin: 0.5}, steps, temp)
+		checkRemoteBitwise(t, "chan", grid, transport.NewChan(nr+1), base, steps, temp, nil)
+		base.Close()
+	}
+}
+
+// TestRuntimeTrajectoryBitwiseAcrossTransports is the transport-layer
+// variant of the central bitwise property: the trajectory must not depend
+// on which wire the fleet's frames travel. Positions and rows move as
+// IEEE-754 bit patterns and land in canonical slots, so the
+// fault-injection wrapper — transparent, and actively dropping,
+// duplicating and delaying frames, which every receiver discards by (Src,
+// Kind, Step) — gives the same bits as the in-process runtime on every
+// rank grid. TestRemoteRuntimeOverTCP is the real-socket wire.
+func TestRuntimeTrajectoryBitwiseAcrossTransports(t *testing.T) {
 	const steps, temp = 30, 600.0
 	for _, grid := range [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 2}} {
 		nr := grid[0] * grid[1] * grid[2]
@@ -139,7 +153,6 @@ func TestRemoteRuntimeBitwiseVsLocal(t *testing.T) {
 			name string
 			tr   transport.Transport
 		}{
-			{"chan", transport.NewChan(nr + 1)},
 			{"fault-noop", transport.NewFault(transport.NewChan(nr+1), transport.NoFaults())},
 			{"fault-chaos", transport.NewFault(transport.NewChan(nr+1), transport.FaultPlan{
 				Seed: 12345, Drop: 0.05, Dup: 0.05, Delay: 0.10, KillRank: -1,
