@@ -14,9 +14,11 @@
 //	                     and the reference the compiled plans are tested against)
 //	internal/plan        record-once/replay compiled inference plans
 //	internal/md          molecular dynamics engine
-//	internal/domain      persistent rank runtime: LAMMPS-style spatial
-//	                     decomposition with incremental ghost exchange and
-//	                     Verlet-skin neighbor reuse on long-lived goroutines
+//	internal/domain      LAMMPS-style spatial decomposition: one rank server
+//	                     (incremental ghost exchange hidden behind the
+//	                     interior block, Verlet-skin neighbor reuse) run as
+//	                     goroutines on a channel transport or as processes
+//	                     over TCP
 //	internal/neighbor    parallel, allocation-free cell-list neighbor builds
 //	internal/par         bounded persistent worker pools
 //	internal/groundtruth the synthetic DFT oracle that labels every dataset
@@ -33,8 +35,8 @@
 // hooks (WithObserver, WithTrajectoryWriter). Every step evaluates the full
 // model at the current positions: no option skips or approximates part of
 // that evaluation. Trajectories are bit-identical across worker counts on
-// each backend, and across rank grids, skins and overlap on the decomposed
-// backend, which the multi-process rank fleet (cmd/allegro-rankd)
+// each backend, and across rank grids and skins on the decomposed backend,
+// whose goroutine ranks the multi-process rank fleet (cmd/allegro-rankd)
 // reproduces bit for bit; the serial and decomposed backends agree to
 // accumulation-order noise (the serial neighbor list orders a center's pairs
 // differently). See README.md for the options table.
@@ -63,9 +65,10 @@ type (
 	Evaluator = core.Evaluator
 	// EvalScratch is the reusable buffer arena owned by one evaluation loop.
 	EvalScratch = core.EvalScratch
-	// Runtime is the persistent domain-decomposed force engine: long-lived
-	// rank workers with incremental ghost exchange and Verlet-skin neighbor
-	// reuse (the paper's LAMMPS production pattern).
+	// Runtime is the persistent domain-decomposed force engine: the rank
+	// servers, as goroutines on a channel transport, with incremental ghost
+	// exchange and Verlet-skin neighbor reuse (the paper's LAMMPS
+	// production pattern).
 	Runtime = domain.Runtime
 	// RuntimeOptions configures the rank grid, Verlet skin, halo, and
 	// per-rank worker pools of a Runtime.

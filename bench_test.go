@@ -1,7 +1,6 @@
 package allegro
 
 import (
-	"fmt"
 	"io"
 	"math/rand/v2"
 	"runtime"
@@ -313,12 +312,15 @@ func warmSteadyState(step func()) {
 }
 
 // BenchmarkRuntimeStep measures the steady-state decomposed MD step: warm
-// Verlet lists, no rebuild, incremental ghost exchange and canonical
-// reduction across persistent rank workers, at exact precision on 1 and 8
-// ranks and at production precision on 8 (every rank replays its own
-// per-shape plan cache) — 0 allocs/op in every case (the CI bench-smoke job
-// enforces this), with achieved pairs/s reported. The runtime is wired
-// through allegro.NewSimulation, the one simulation API.
+// Verlet lists, no rebuild, the ghost exchange hidden behind each rank's
+// interior block, and the canonical reduction across persistent rank
+// servers, at exact precision on 1 and 8 ranks and at production precision
+// on 8 (every rank replays its own per-shape plan cache). The step is
+// driven through the pipelined ready path with a live callback, so batch
+// delivery is inside the timed, allocation-guarded loop: 0 allocs/op in
+// every case (the CI bench-smoke job enforces this), with achieved pairs/s
+// and the measured overlap fraction reported. The runtime is wired through
+// allegro.NewSimulation, the one simulation API.
 func BenchmarkRuntimeStep(b *testing.B) {
 	exact := DefaultConfig([]Species{H, O})
 	exact.Workers = 1
@@ -344,49 +346,6 @@ func BenchmarkRuntimeStep(b *testing.B) {
 			}
 			sim, err := NewSimulation(sys.Clone(), model,
 				WithGrid(c.grid[0], c.grid[1], c.grid[2]), WithSkin(0.5))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sim.Close()
-			pot := sim.Potential().(pairWorker)
-			run := sim.System()
-			forces := make([][3]float64, run.NumAtoms())
-			warmSteadyState(func() { pot.EnergyForcesInto(run, forces) })
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pot.EnergyForcesInto(run, forces)
-			}
-			st, _ := sim.Stats()
-			b.ReportMetric(float64(st.PairWork)*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-		})
-	}
-}
-
-// BenchmarkRuntimeStepOverlap measures the same steady-state decomposed
-// step with the communication-hiding pipeline enabled: asynchronous ghost
-// exchange hidden behind the interior block, split force reduction, and
-// the pipelined ready path (driven with a live callback, so batch delivery
-// is inside the timed, allocation-guarded loop). Compare against
-// BenchmarkRuntimeStep/ranks=8 (the bulk-synchronous schedule of the
-// identical workload): overlapped step time must not exceed synchronous.
-// The measured overlap fraction is reported as a metric, and the step must
-// stay 0 allocs/op (the CI bench-smoke job enforces this).
-func BenchmarkRuntimeStepOverlap(b *testing.B) {
-	cfg := DefaultConfig([]Species{H, O})
-	cfg.Workers = 1
-	cfg.DefaultCutoff = 3.0
-	cfg.AvgNumNeighbors = 10
-	rng := rand.New(rand.NewPCG(7, 9))
-	sys := data.WaterBox(rng, 3, 3, 3)
-	for _, grid := range [][3]int{{2, 2, 2}} {
-		b.Run(fmt.Sprintf("ranks=%d", grid[0]*grid[1]*grid[2]), func(b *testing.B) {
-			model, err := NewModel(cfg, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim, err := NewSimulation(sys.Clone(), model,
-				WithGrid(grid[0], grid[1], grid[2]), WithSkin(0.5), WithOverlap())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -8,7 +8,7 @@
 //
 //	allegro-md -model model.json -system water -steps 200 -temp 300
 //	allegro-md -model model.json -system water -steps 200 -grid 2x1x1 -skin 0.5
-//	allegro-md -model model.json -auto-grid -overlap -steps 200
+//	allegro-md -model model.json -auto-grid -steps 200
 //	allegro-md -model model.json -grid 2x2x1 -skin 0.5 -workers-per-rank 2
 //	allegro-md -model model.json -traj traj.xyz -traj-every 10
 //
@@ -56,7 +56,6 @@ func main() {
 		grid      = flag.String("grid", "", "spatial decomposition grid, e.g. 2x1x1 (empty = serial)")
 		autoGrid  = flag.Bool("auto-grid", false, "let the performance model pick the rank grid")
 		skin      = flag.Float64("skin", 0.5, "Verlet skin (A) for the decomposed path; 0 rebuilds every step")
-		overlap   = flag.Bool("overlap", false, "hide the ghost exchange behind interior-block evaluation (decomposed path)")
 		wpr       = flag.Int("workers-per-rank", 1, "worker pool size inside each rank")
 		traj      = flag.String("traj", "", "write an XYZ trajectory to this file")
 		trajEvery = flag.Int("traj-every", 10, "steps between trajectory frames")
@@ -117,9 +116,6 @@ func main() {
 		opts = append(opts, allegro.WithGrid(g[0], g[1], g[2]), allegro.WithWorkers(*wpr))
 	case *autoGrid:
 		opts = append(opts, allegro.WithAutoDecompose(), allegro.WithWorkers(*wpr))
-	}
-	if *overlap {
-		opts = append(opts, allegro.WithOverlap())
 	}
 	if *traj != "" {
 		f, err := os.Create(*traj)

@@ -1,7 +1,7 @@
 // Capsid: build a scaled-down virus-capsid assembly (the paper's 44M-atom
 // HIV capsid workload), run a few MD steps on it with a trained potential
-// through the domain-decomposed backend with the communication-hiding
-// overlap pipeline — asserting the decomposition is exact (drift against
+// through the domain-decomposed backend, whose ranks hide the ghost
+// exchange behind their interior blocks — asserting the decomposition is exact (drift against
 // the single-rank backend is exactly 0 A) — and project full-scale
 // Perlmutter throughput with the cluster model.
 package main
@@ -51,10 +51,10 @@ func main() {
 	// WithThermostat overrides the default friction; the engine RNG (seeded
 	// by WithSeed) is wired into the thermostat automatically. The
 	// production run uses the decomposed backend (grid picked by the
-	// performance model) with the communication-hiding overlap pipeline; a
-	// single-rank twin with identical seeds proves the decomposition and
-	// the overlapped schedule exact: the position drift between the two
-	// must be exactly 0 A (the canonical slot ordering makes runtime
+	// performance model), whose ranks hide the ghost exchange behind their
+	// interior blocks; a single-rank twin with identical seeds proves the
+	// decomposition exact: the position drift between the two must be
+	// exactly 0 A (the canonical slot ordering makes runtime
 	// trajectories bit-identical across rank grids).
 	mkSim := func(opts ...allegro.Option) *allegro.Simulation {
 		base := []allegro.Option{
@@ -69,13 +69,13 @@ func main() {
 		}
 		return s
 	}
-	sim := mkSim(allegro.WithAutoDecompose(), allegro.WithOverlap())
+	sim := mkSim(allegro.WithAutoDecompose())
 	if !sim.Decomposed() {
 		// The performance model decomposes only when the core budget pays
-		// for it; on a small machine force a minimal grid so the overlap
-		// pipeline (and its exactness) is demonstrated regardless.
+		// for it; on a small machine force a minimal grid so the exchange
+		// hiding (and its exactness) is demonstrated regardless.
 		sim.Close()
-		sim = mkSim(allegro.WithGrid(2, 1, 1), allegro.WithOverlap())
+		sim = mkSim(allegro.WithGrid(2, 1, 1))
 	}
 	defer sim.Close()
 	single := mkSim(allegro.WithGrid(1, 1, 1))
@@ -102,10 +102,10 @@ func main() {
 	}
 	fmt.Printf("max position drift vs single-rank backend: %g A\n", maxDrift)
 	if maxDrift != 0 {
-		panic("decomposed overlap trajectory diverged from the single-rank backend")
+		panic("decomposed trajectory diverged from the single-rank backend")
 	}
 	if st, ok := sim.Stats(); ok {
-		fmt.Printf("overlap pipeline: %d/%d interior pairs, overlap fraction %.0f%%\n",
+		fmt.Printf("exchange hiding: %d/%d interior pairs, overlap fraction %.0f%%\n",
 			st.InteriorPairs, st.PairWork, 100*st.OverlapFraction())
 	}
 

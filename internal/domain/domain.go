@@ -1,10 +1,9 @@
 // Package domain implements LAMMPS-style spatial domain decomposition for
 // strictly local potentials: the periodic box is split into a 3-D grid of
-// subdomains ("ranks", realized as long-lived goroutines communicating over
-// preallocated channels in place of MPI), each rank evaluates the potential
-// for the ordered pairs *centered* on its owned atoms using ghost copies of
-// boundary atoms from neighboring subdomains, and ghost force contributions
-// are communicated back to their owners (LAMMPS "reverse communication").
+// subdomains ("ranks"), each rank evaluates the potential for the ordered
+// pairs *centered* on its owned atoms using ghost copies of boundary atoms
+// from neighboring subdomains, and ghost force contributions are
+// communicated back to their owners (LAMMPS "reverse communication").
 //
 // Because Allegro's receptive field never grows with depth, a ghost halo of
 // one cutoff radius is exactly sufficient — the property that lets the paper
@@ -12,11 +11,14 @@
 // message-passing ablation (a NequIP-style model needs L x cutoff of halo)
 // can be demonstrated quantitatively.
 //
-// The production path is the persistent Runtime: rank workers that keep
-// their neighbor lists (with a Verlet skin), ghost-exchange plans, and
+// A rank is a RankServer: a state machine driven by transport frames that
+// keeps its neighbor lists (with a Verlet skin), ghost-exchange plans and
 // evaluation arenas alive across MD steps, re-deriving them only when the
-// skin/2 displacement trigger fires. A one-shot decomposed evaluation is
-// NewRuntime, EnergyForces, Stats and Close.
+// skin/2 displacement trigger fires. RemoteRuntime drives a fleet of them —
+// allegro-rankd processes over TCP — and Runtime is the same fleet as
+// goroutines on an in-process channel transport, the production path. A
+// one-shot decomposed evaluation is NewRuntime, EnergyForces, Stats and
+// Close.
 package domain
 
 import (

@@ -3,7 +3,7 @@ package domain
 import (
 	"errors"
 	"fmt"
-	"time"
+	"slices"
 
 	"repro/internal/transport"
 )
@@ -15,9 +15,9 @@ import (
 // server treats it as a recoverable abort, not a fatal error.
 var errRecoverInterrupt = errors.New("domain: phase interrupted by recovery epoch")
 
-// This file is the runtime's attachment to the pluggable transport: the
+// This file is a rank's attachment to the pluggable transport: the
 // rebuild-time exchange-plan swap and the two per-step framed exchanges
-// (forward ghost positions, reverse force rows) the comm goroutines serve.
+// (forward ghost positions, reverse force rows).
 //
 // Plans make per-step payloads self-describing by position instead of by
 // metadata: at every rebuild, rank d sends rank s the global atom ids it
@@ -29,24 +29,12 @@ var errRecoverInterrupt = errors.New("domain: phase interrupted by recovery epoc
 // slots. One frame per link per phase, staged through reusable Frame
 // buffers, so the steady state allocates nothing on the chan transport.
 //
-// Failure: a comm goroutine that observes a KindDeath notice (or a
-// DeadError from Send/Recv) marks the peer in deadRank, forfeits the
-// pending expectation so no phase ever hangs, and latches commErr. Only a
-// rank server can see a death — its peers are separate processes; it NACKs
-// the driver, which runs elastic recovery (recover.go). The in-process
-// runtime owns its channel transport, whose ranks cannot die, so a latched
-// error there is a bug and checkFailure panics with it.
-
-// checkFailure panics with the first latched per-rank transport error. It
-// runs on the in-process master after phase barriers, so the rank fields
-// are settled.
-func (r *Runtime) checkFailure() {
-	for _, rk := range r.ranks {
-		if rk.commErr != nil {
-			panic(fmt.Sprintf("domain: rank %d: %v", rk.id, rk.commErr))
-		}
-	}
-}
+// Failure: a phase that observes a KindDeath notice (or a DeadError from
+// Send/Recv) marks the peer in deadRank, forfeits the pending expectation
+// so no phase ever hangs, and latches commErr; the rank server NACKs the
+// driver, which runs elastic recovery (recover.go). On the in-process
+// channel transport ranks cannot die, and Runtime panics on a latched
+// error.
 
 // noteErr latches this rank's first transport failure.
 func (rk *rank) noteErr(err error) {
@@ -59,9 +47,9 @@ func (rk *rank) noteErr(err error) {
 // failure latched (a dead peer aborts the phase, even when the victim is
 // not this rank).
 func (rk *rank) noteDeath(dead int) {
-	rt := rk.rt
-	if dead >= 0 && dead < len(rt.deadRank) {
-		rt.deadRank[dead].Store(true)
+	h := rk.h
+	if dead >= 0 && dead < h.nr {
+		h.deadRank[dead] = true
 	}
 	rk.noteErr(&transport.DeadError{Rank: dead})
 }
@@ -69,8 +57,8 @@ func (rk *rank) noteDeath(dead int) {
 // derivePlans recomputes the rank's local halves of the exchange plans from
 // the freshly built ghost list and canonical pair slots (rebuild only).
 func (rk *rank) derivePlans() {
-	rt := rk.rt
-	nr := len(rt.ranks)
+	h := rk.h
+	nr := h.nr
 	rk.selfGhostIdx = rk.selfGhostIdx[:0]
 	rk.selfGhostAtom = rk.selfGhostAtom[:0]
 	for d := 0; d < nr; d++ {
@@ -83,7 +71,7 @@ func (rk *rank) derivePlans() {
 	// (staged locally) or an import from its owning rank, in arena order.
 	for t := rk.nOwned; t < len(rk.gOf); t++ {
 		g := rk.gOf[t]
-		o := int(rt.owner[g])
+		o := int(h.owner[g])
 		idx := int32(t - rk.nOwned)
 		if o == rk.id {
 			rk.selfGhostIdx = append(rk.selfGhostIdx, idx)
@@ -104,7 +92,7 @@ func (rk *rank) derivePlans() {
 			continue
 		}
 		g := rk.gOf[j]
-		o := int(rt.owner[g])
+		o := int(h.owner[g])
 		if o == rk.id {
 			continue
 		}
@@ -118,28 +106,28 @@ func (rk *rank) derivePlans() {
 // with the rebuild tick. Plans are exchanged even when empty so every rank
 // expects exactly two frames per live peer.
 func (rk *rank) execPlanExchange() {
-	rt := rk.rt
+	h := rk.h
 	rk.derivePlans()
-	nr := len(rt.ranks)
+	nr := h.nr
 	if nr == 1 {
 		return
 	}
-	tick := rt.rebuildTick
+	tick := h.rebuildTick
 	f := &rk.sendF
 	for d := 0; d < nr; d++ {
-		if d == rk.id || rt.deadRank[d].Load() {
+		if d == rk.id || h.deadRank[d] {
 			continue
 		}
 		f.Reset(transport.KindFwdPlan, d, tick)
 		copy(f.EnsureInts(len(rk.fwdNeed[d])), rk.fwdNeed[d])
 		if err := rk.ep.Send(f); err != nil {
-			rk.handleSendErr(d, err)
+			rk.handleSendErr(err)
 			continue
 		}
 		f.Reset(transport.KindRowPlan, d, tick)
 		copy(f.EnsureInts(len(rk.rowPlan[d])), rk.rowPlan[d])
 		if err := rk.ep.Send(f); err != nil {
-			rk.handleSendErr(d, err)
+			rk.handleSendErr(err)
 		}
 	}
 	// Expect a FwdPlan and a RowPlan from every live peer. seen encodes
@@ -147,7 +135,7 @@ func (rk *rank) execPlanExchange() {
 	// receive loop over a combined count with per-kind bookkeeping.
 	pending := 0
 	for s := 0; s < nr; s++ {
-		alive := s != rk.id && !rt.deadRank[s].Load()
+		alive := s != rk.id && !h.deadRank[s]
 		rk.seen[s] = !alive // seen == true means "nothing more expected"
 		rk.planBits[s] = 0
 		if alive {
@@ -208,7 +196,7 @@ func (rk *rank) planMark(s, kind int) {
 // exact and the phase cannot hang on a corpse).
 func (rk *rank) forfeit(s int) int {
 	rk.noteDeath(s)
-	nr := len(rk.rt.ranks)
+	nr := rk.h.nr
 	if s < 0 || s >= nr || rk.seen[s] {
 		return 0
 	}
@@ -223,114 +211,113 @@ func (rk *rank) forfeit(s int) int {
 	return out
 }
 
-// execExchangeGhosts is the forward exchange (cmdPack): stage self-owned
-// periodic images directly, push each peer the positions it planned for as
-// one KindGhostPos frame, and scatter arriving frames into the current half
-// of the double-buffered arena. packNs records the post-to-staged wall,
-// which the overlap pipeline hides behind the interior block.
-func (rk *rank) execExchangeGhosts() {
-	rt := rk.rt
-	buf := rk.ghost[rt.parity]
+// postGhosts opens the forward exchange: stage self-owned periodic images
+// directly into the current half of the double-buffered arena and push
+// each peer the positions it planned for as one KindGhostPos frame. The
+// rank then evaluates its interior block while the frames travel.
+func (rk *rank) postGhosts() {
+	h := rk.h
+	buf := rk.ghost[h.parity]
 	for k, idx := range rk.selfGhostIdx {
-		buf[idx] = rt.pw[rk.selfGhostAtom[k]]
+		buf[idx] = h.pw[rk.selfGhostAtom[k]]
 	}
-	nr := len(rt.ranks)
-	if nr > 1 {
-		tick := rt.stepTick
-		f := &rk.sendF
-		for d := 0; d < nr; d++ {
-			if d == rk.id || len(rk.sendFwd[d]) == 0 {
-				continue
-			}
-			if rt.deadRank[d].Load() {
-				rk.noteDeath(d)
-				continue
-			}
-			f.Reset(transport.KindGhostPos, d, tick)
-			vecs := f.EnsureVecs(len(rk.sendFwd[d]))
-			for k, g := range rk.sendFwd[d] {
-				vecs[k] = rt.pw[g]
-			}
-			if err := rk.ep.Send(f); err != nil {
-				rk.handleSendErr(d, err)
-			}
+	f := &rk.sendF
+	for d := 0; d < h.nr; d++ {
+		if d == rk.id || len(rk.sendFwd[d]) == 0 {
+			continue
 		}
-		pending := 0
-		for s := 0; s < nr; s++ {
-			expect := s != rk.id && len(rk.fwdNeed[s]) > 0 && !rt.deadRank[s].Load()
-			rk.seen[s] = !expect
-			if expect {
-				pending++
-			}
+		if h.deadRank[d] {
+			rk.noteDeath(d)
+			continue
 		}
-		for pending > 0 {
-			if err := rk.recvExpect(transport.KindGhostPos, transport.KindInvalid); err != nil {
-				rk.noteErr(err)
-				break
-			}
-			g := &rk.recvF
-			s := int(g.Src)
-			switch g.Kind {
-			case transport.KindGhostPos:
-				if g.Step != tick || s < 0 || s >= nr || rk.seen[s] {
-					continue // stale step or fault-injected duplicate
-				}
-				idxs := rk.fwdArena[s]
-				if len(g.Vecs) != len(idxs) {
-					rk.noteErr(fmt.Errorf("domain: rank %d: ghost frame from %d carries %d positions, plan expects %d",
-						rk.id, s, len(g.Vecs), len(idxs)))
-					continue
-				}
-				for k, idx := range idxs {
-					buf[idx] = g.Vecs[k]
-				}
-				rk.seen[s] = true
-				pending--
-			case transport.KindDeath:
-				rk.noteDeath(s)
-				if s >= 0 && s < nr && !rk.seen[s] {
-					rk.seen[s] = true
-					pending--
-				}
-				if s == rk.id {
-					pending = 0 // our own endpoint died; drain no further
-				}
-			case transport.KindRecover:
-				// The epoch supersedes a peer death latched earlier in this
-				// phase (noteErr keeps only the first error): the caller
-				// must see the interrupt, or it walks into the row exchange
-				// with the epoch frame parked where that phase never looks.
-				rk.stashData()
-				rk.commErr = errRecoverInterrupt
-				pending = 0
-			default:
-				rk.stashData()
-			}
+		f.Reset(transport.KindGhostPos, d, h.stepTick)
+		vecs := f.EnsureVecs(len(rk.sendFwd[d]))
+		for k, g := range rk.sendFwd[d] {
+			vecs[k] = h.pw[g]
+		}
+		if err := rk.ep.Send(f); err != nil {
+			rk.handleSendErr(err)
 		}
 	}
-	rk.packNs = time.Since(rt.postTime).Nanoseconds()
 }
 
-// execExchangeRows is the reverse exchange (cmdExchangeRows): push every
-// peer the force rows of pairs whose ghost neighbor it owns — ascending
-// local pair order, exactly the KindRowPlan it holds — and scatter arriving
-// rows into their canonical global slots. In-process receivers overwrite
-// the slots with bitwise-identical values the sender's eval already wrote;
-// across processes the received copy is the only source. Either way the
-// frontier reduction reads settled slots.
+// waitGhosts closes the forward exchange: receive every planned peer's
+// KindGhostPos frame and scatter it into the current half of the arena.
+func (rk *rank) waitGhosts() {
+	h := rk.h
+	nr := h.nr
+	buf := rk.ghost[h.parity]
+	pending := 0
+	for s := 0; s < nr; s++ {
+		expect := s != rk.id && len(rk.fwdNeed[s]) > 0 && !h.deadRank[s]
+		rk.seen[s] = !expect
+		if expect {
+			pending++
+		}
+	}
+	for pending > 0 {
+		if err := rk.recvExpect(transport.KindGhostPos, transport.KindInvalid); err != nil {
+			rk.noteErr(err)
+			return
+		}
+		g := &rk.recvF
+		s := int(g.Src)
+		switch g.Kind {
+		case transport.KindGhostPos:
+			if g.Step != h.stepTick || s < 0 || s >= nr || rk.seen[s] {
+				continue // stale step or fault-injected duplicate
+			}
+			idxs := rk.fwdArena[s]
+			if len(g.Vecs) != len(idxs) {
+				rk.noteErr(fmt.Errorf("domain: rank %d: ghost frame from %d carries %d positions, plan expects %d",
+					rk.id, s, len(g.Vecs), len(idxs)))
+				continue
+			}
+			for k, idx := range idxs {
+				buf[idx] = g.Vecs[k]
+			}
+			rk.seen[s] = true
+			pending--
+		case transport.KindDeath:
+			rk.noteDeath(s)
+			if s >= 0 && s < nr && !rk.seen[s] {
+				rk.seen[s] = true
+				pending--
+			}
+			if s == rk.id {
+				return // our own endpoint died; drain no further
+			}
+		case transport.KindRecover:
+			// The epoch supersedes a peer death latched earlier in this
+			// phase (noteErr keeps only the first error): the caller
+			// must see the interrupt, or it walks into the row exchange
+			// with the epoch frame parked where that phase never looks.
+			rk.stashData()
+			rk.commErr = errRecoverInterrupt
+			return
+		default:
+			rk.stashData()
+		}
+	}
+}
+
+// execExchangeRows is the reverse exchange: push every peer the force rows
+// of pairs whose ghost neighbor it owns — ascending local pair order,
+// exactly the KindRowPlan it holds — and scatter arriving rows into their
+// canonical slots, so the reduction reads settled slots.
 func (rk *rank) execExchangeRows() {
-	rt := rk.rt
-	nr := len(rt.ranks)
+	h := rk.h
+	nr := h.nr
 	if nr == 1 {
 		return
 	}
-	tick := rt.stepTick
+	tick := h.stepTick
 	f := &rk.sendF
 	for d := 0; d < nr; d++ {
 		if d == rk.id || len(rk.rowSendT[d]) == 0 {
 			continue
 		}
-		if rt.deadRank[d].Load() {
+		if h.deadRank[d] {
 			rk.noteDeath(d)
 			continue
 		}
@@ -340,12 +327,12 @@ func (rk *rank) execExchangeRows() {
 			vecs[k] = rk.rowsBuf[t]
 		}
 		if err := rk.ep.Send(f); err != nil {
-			rk.handleSendErr(d, err)
+			rk.handleSendErr(err)
 		}
 	}
 	pending := 0
 	for s := 0; s < nr; s++ {
-		expect := s != rk.id && len(rk.rowRecv[s]) > 0 && !rt.deadRank[s].Load()
+		expect := s != rk.id && len(rk.rowRecv[s]) > 0 && !h.deadRank[s]
 		rk.seen[s] = !expect
 		if expect {
 			pending++
@@ -370,7 +357,7 @@ func (rk *rank) execExchangeRows() {
 				continue
 			}
 			for k, v := range g.Vecs {
-				rt.rows[plan[2*k]] = v
+				h.rows[plan[2*k]] = v
 			}
 			rk.seen[s] = true
 			pending--
@@ -396,42 +383,74 @@ func (rk *rank) execExchangeRows() {
 // handleSendErr classifies a Send failure: a DeadError marks the peer (or
 // this rank itself) dead so subsequent phases skip it; anything else is
 // latched as-is.
-func (rk *rank) handleSendErr(dst int, err error) {
+func (rk *rank) handleSendErr(err error) {
 	if rank, ok := transport.IsDead(err); ok {
 		rk.noteDeath(rank)
 		return
 	}
-	_ = dst
 	rk.noteErr(err)
 }
 
 // recvExpect fills rk.recvF with the next frame a phase consuming kinds a/b
 // can act on: parked frames of those kinds (or death notices) first, in
-// arrival order, then the endpoint. In-process the stash is always empty
-// and this is exactly ep.Recv.
+// arrival order, then the endpoint.
 func (rk *rank) recvExpect(a, b transport.Kind) error {
 	for i, f := range rk.stash {
 		if f.Kind == a || f.Kind == b || f.Kind == transport.KindDeath {
-			transport.CopyFrame(&rk.recvF, f)
-			rk.stash = append(rk.stash[:i], rk.stash[i+1:]...)
+			rk.unstash(i)
 			return nil
 		}
 	}
 	return rk.ep.Recv(&rk.recvF)
 }
 
+// unstash moves parked frame i into rk.recvF and recycles its buffer.
+func (rk *rank) unstash(i int) {
+	f := rk.stash[i]
+	transport.CopyFrame(&rk.recvF, f)
+	rk.stash = append(rk.stash[:i], rk.stash[i+1:]...)
+	rk.free = append(rk.free, f)
+}
+
+// reservePark sizes the parking pool for the steady state after a plan
+// swap: a step parks at most one ghost frame and one row frame per peer,
+// none larger than the plans just exchanged, so between rebuilds the
+// stash never needs a new frame, a larger buffer or a longer list.
+func (rk *rank) reservePark() {
+	h := rk.h
+	vecs := 0
+	for s := 0; s < h.nr; s++ {
+		vecs = max(vecs, len(rk.fwdArena[s]), len(rk.rowRecv[s])/2)
+	}
+	for len(rk.free)+len(rk.stash) < 2*(h.nr-1) {
+		rk.free = append(rk.free, new(transport.Frame))
+	}
+	for _, f := range slices.Concat(rk.free, rk.stash) {
+		if n := vecs - len(f.Vecs); n > 0 {
+			f.Vecs = slices.Grow(f.Vecs, n) // keeps a parked frame's payload
+		}
+	}
+	frames := len(rk.free) + len(rk.stash)
+	rk.free = slices.Grow(rk.free, frames-len(rk.free))
+	rk.stash = slices.Grow(rk.stash, frames-len(rk.stash))
+}
+
 // stashData parks rk.recvF for a later phase if it is a cross-phase data
-// frame: a fast remote peer racing ahead (plans, ghosts, rows) or — on a
-// rank process, whose serve loop has no global barrier against the driver —
-// a driver frame pipelined behind the one being processed (owned positions
-// sent right after a rebuild's layout broadcast). Control and unknown
-// frames are dropped.
+// frame: a fast peer racing ahead (plans, ghosts, rows) or a driver frame
+// pipelined behind the one being processed (owned positions sent right
+// after a rebuild's layout broadcast). Control and unknown frames are
+// dropped.
 func (rk *rank) stashData() {
 	switch rk.recvF.Kind {
 	case transport.KindFwdPlan, transport.KindRowPlan, transport.KindGhostPos, transport.KindRows,
 		transport.KindRebuild, transport.KindLayout, transport.KindOwnedPos, transport.KindShutdown,
 		transport.KindReplica, transport.KindReplicaReq, transport.KindRecover:
-		cp := new(transport.Frame)
+		var cp *transport.Frame
+		if n := len(rk.free); n > 0 {
+			cp, rk.free = rk.free[n-1], rk.free[:n-1]
+		} else {
+			cp = new(transport.Frame)
+		}
 		transport.CopyFrame(cp, &rk.recvF)
 		rk.stash = append(rk.stash, cp)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/atoms"
@@ -32,32 +31,25 @@ func (e *abortError) Error() string {
 // serve loop just processes the parked epoch frame next.
 var errAbandoned = errors.New("rankd: phase abandoned by recovery epoch")
 
-// RankServer is the rank-process half of the remote protocol: one subdomain
-// worker hosted in its own OS process (cmd/allegro-rankd), serving the
-// driver's rebuild/step frames over a transport endpoint. It reuses the
-// in-process rank phases verbatim — membership, canonical neighbor lists,
-// slot assignment, the peer plan swap, both framed exchanges, evaluation,
-// and the slot-ordered reduction all run through the same code the
-// goroutine ranks run — hosted in a headless Runtime shell that holds the
-// global arrays (positions, ownership, slot layout) the phases read. The
-// shell has no worker goroutines and no master step loop: the driver plays
-// the master, and the global arrays are populated from its frames instead
-// of from sibling ranks. Because every derived quantity (wrap, ownership,
-// slots, reduction order, energy slots) comes from the shared arithmetic,
-// a distributed trajectory is bit-identical to the in-process one.
+// RankServer is the rank half of the remote protocol: one subdomain worker
+// serving the driver's rebuild/step frames over a transport endpoint —
+// hosted in its own OS process (cmd/allegro-rankd) or, inside Runtime, in
+// a goroutine on a channel transport. Its step posts the forward ghost
+// exchange, evaluates the interior block while the frames travel, then
+// receives the ghosts, evaluates the frontier block, swaps force rows with
+// its peers and reduces its owned atoms' forces in canonical slot order.
+// The global arrays its phases read (positions, ownership, slot layout)
+// are populated from the driver's frames. Because every derived quantity
+// (wrap, ownership, slots, reduction order, energy slots) comes from the
+// shared arithmetic, a trajectory is bit-identical on every host and
+// transport.
 type RankServer struct {
-	id     int
-	nr     int // grid ranks; the driver is transport rank nr
-	ep     transport.Endpoint
-	logf   func(format string, args ...any)
-	rt     *Runtime
-	rk     *rank
-	nOwned int
-
-	// reduceAll lists every owned local index: a rank process always reduces
-	// all of its atoms in one pass (the split interior/frontier schedule is a
-	// latency optimization of the in-process pipeline, not of the protocol).
-	reduceAll []int32
+	id   int
+	nr   int // grid ranks; the driver is transport rank nr
+	ep   transport.Endpoint
+	logf func(format string, args ...any)
+	h    *host
+	rk   *rank
 
 	// repl holds this rank's replica shards: its own plus its buddy
 	// predecessor's (see replica.go).
@@ -109,27 +101,20 @@ func (s *RankServer) logln(format string, args ...any) {
 	}
 }
 
-// build assembles the headless Runtime shell and this process's rank from
-// the driver's configuration.
+// build assembles the host state and this process's rank from the
+// driver's configuration.
 func (s *RankServer) build(wire *remoteWire) error {
 	m, err := core.UnmarshalModel(wire.Model)
 	if err != nil {
 		return fmt.Errorf("rankd %d: decode model: %w", s.id, err)
 	}
 	n := len(wire.Species)
-	sys := atoms.NewSystem(n)
-	copy(sys.Species, wire.Species)
-	sys.Cell = wire.Cell
-	sys.PBC = true
-
 	halo := wire.Halo
 	if halo == 0 {
 		halo = m.Cuts.Max()
 	}
-	opts := RuntimeOptions{
-		Grid: wire.Grid, Skin: wire.Skin, Halo: halo,
-		WorkersPerRank: wire.Workers,
-	}
+	sys := &atoms.System{Cell: wire.Cell, PBC: true}
+	opts := RuntimeOptions{Grid: wire.Grid, Skin: wire.Skin, Halo: halo}
 	if err := validateRuntime(sys, opts); err != nil {
 		return fmt.Errorf("rankd %d: %w", s.id, err)
 	}
@@ -138,29 +123,24 @@ func (s *RankServer) build(wire *remoteWire) error {
 		return fmt.Errorf("rankd %d: endpoint rank outside grid of %d ranks", s.id, nr)
 	}
 	s.nr = nr
-
-	rt := &Runtime{
-		model: m, sys: sys, opts: opts, grid: wire.Grid,
-		halo: halo, skin: wire.Skin,
-		n:      n,
-		pw:     make([][3]float64, n),
-		refPos: make([][3]float64, n),
-		owner:  make([]int32, n),
-
+	h := &host{
+		model: m, species: wire.Species, cell: wire.Cell,
+		halo: halo, skin: wire.Skin, nr: nr,
+		n:         n,
+		pw:        make([][3]float64, n),
+		owner:     make([]int32, n),
 		pairCnt:   make([]int32, n),
 		pairStart: make([]int32, n+1),
 		adjPtr:    make([]int32, n+1),
-
-		forces:   make([][3]float64, n),
-		ranks:    make([]*rank, nr),
-		deadRank: make([]atomic.Bool, nr),
+		forces:    make([][3]float64, n),
+		deadRank:  make([]bool, nr),
 	}
+	var sub [3]float64
 	for k := 0; k < 3; k++ {
-		rt.sub[k] = sys.Cell[k] / float64(wire.Grid[k])
+		sub[k] = wire.Cell[k] / float64(wire.Grid[k])
 	}
-	rk := newRank(rt, s.id, s.ep)
-	rt.ranks[s.id] = rk
-	s.rt, s.rk = rt, rk
+	s.h = h
+	s.rk = newRank(h, s.id, s.ep, wire.Grid, sub, wire.Workers)
 	s.repl = newReplStore()
 	return nil
 }
@@ -173,7 +153,7 @@ func (s *RankServer) build(wire *remoteWire) error {
 // ticks only grow, so a rebuild or step frame at or below the last tick
 // served is a duplicate or a stale delivery and is dropped.
 func (s *RankServer) Serve() error {
-	rt, rk := s.rt, s.rk
+	h, rk := s.h, s.rk
 	for {
 		if err := s.recvServe(); err != nil {
 			return fmt.Errorf("rankd %d: %w", s.id, err)
@@ -181,21 +161,23 @@ func (s *RankServer) Serve() error {
 		f := &rk.recvF
 		switch f.Kind {
 		case transport.KindRebuild:
-			if f.Step <= rt.rebuildTick {
+			if f.Step <= h.rebuildTick {
 				continue
 			}
 			if err := s.settle(s.handleRebuild(f)); err != nil {
 				return err
 			}
 		case transport.KindOwnedPos:
-			if f.Step <= rt.stepTick {
+			if f.Step <= h.stepTick {
 				continue
 			}
 			if err := s.settle(s.handleStep(f)); err != nil {
 				return err
 			}
 		case transport.KindShutdown:
-			s.logln("shutdown at step %d", s.rt.stepTick)
+			if s.logf != nil { // boxing the tick would allocate in Runtime.Close
+				s.logln("shutdown at step %d", h.stepTick)
+			}
 			// The driver closes the wire once every rank has acknowledged.
 			// Best effort: a driver that is already gone needs no ack.
 			ack := &s.sendF
@@ -260,7 +242,7 @@ func (s *RankServer) settlePhaseComm(tick uint64) error {
 	rk := s.rk
 	err := rk.commErr
 	rk.commErr = nil
-	s.rt.started = false
+	s.h.started = false
 	if errors.Is(err, errRecoverInterrupt) {
 		return errAbandoned
 	}
@@ -269,8 +251,8 @@ func (s *RankServer) settlePhaseComm(tick uint64) error {
 
 // firstDead reports the lowest currently-marked dead rank, or -1.
 func (s *RankServer) firstDead() int {
-	for r := range s.rt.deadRank {
-		if s.rt.deadRank[r].Load() {
+	for r, dead := range s.h.deadRank {
+		if dead {
 			return r
 		}
 	}
@@ -286,8 +268,7 @@ func (s *RankServer) recvServe() error {
 		case transport.KindRebuild, transport.KindOwnedPos, transport.KindShutdown,
 			transport.KindDeath, transport.KindRecover, transport.KindReplica,
 			transport.KindReplicaReq:
-			transport.CopyFrame(&rk.recvF, f)
-			rk.stash = append(rk.stash[:i], rk.stash[i+1:]...)
+			rk.unstash(i)
 			return nil
 		}
 	}
@@ -301,13 +282,11 @@ func (s *RankServer) recvServe() error {
 // is dropped so a stray position frame from the old epoch can never be
 // served against recovery-invalidated plans.
 func (s *RankServer) handleRecover(f *transport.Frame) error {
-	rt, rk := s.rt, s.rk
+	h, rk := s.h, s.rk
 	gen := f.Step
-	for r := range rt.deadRank {
-		rt.deadRank[r].Store(false)
-	}
+	clear(h.deadRank)
 	rk.commErr = nil
-	rt.started = false
+	h.started = false
 	kept := 0
 	for _, pf := range rk.stash {
 		if pf.Kind == transport.KindReplica {
@@ -315,6 +294,7 @@ func (s *RankServer) handleRecover(f *transport.Frame) error {
 			kept++
 		}
 	}
+	rk.free = append(rk.free, rk.stash...)
 	rk.stash = rk.stash[:0]
 	ack := &s.sendF
 	ack.Reset(transport.KindRecover, s.nr, gen)
@@ -330,7 +310,7 @@ func (s *RankServer) handleRecover(f *transport.Frame) error {
 // completing the redundancy-2 contract; frames from a peer carry that
 // peer's shard.
 func (s *RankServer) handleReplica(f *transport.Frame) {
-	rt, rk := s.rt, s.rk
+	rk := s.rk
 	if !s.storeReplica(f) {
 		s.logln("dropping malformed replica frame from %d", int(f.Src))
 		return
@@ -339,14 +319,14 @@ func (s *RankServer) handleReplica(f *transport.Frame) {
 		return
 	}
 	buddy := buddyOf(s.id, s.nr)
-	if rt.deadRank[buddy].Load() {
+	if s.h.deadRank[buddy] {
 		return
 	}
 	n := len(f.Ints)
 	out := &s.sendF
 	packReplica(out, buddy, f.Step, f.Ints, f.Vecs[:n], f.Vecs[n:])
 	if err := s.ep.Send(out); err != nil {
-		rk.handleSendErr(buddy, err)
+		rk.handleSendErr(err)
 		rk.commErr = nil // a dead buddy is survivable; the mark is enough
 	}
 }
@@ -380,31 +360,26 @@ func (s *RankServer) handleReplicaReq(f *transport.Frame) error {
 // pair counts, wait for the slot layout, then assign slots, swap exchange
 // plans with the peers, and derive the local reduction adjacency.
 func (s *RankServer) handleRebuild(f *transport.Frame) error {
-	rt, rk := s.rt, s.rk
-	if len(f.Ints) != rt.n || len(f.Vecs) != rt.n {
+	h, rk := s.h, s.rk
+	if len(f.Ints) != h.n || len(f.Vecs) != h.n {
 		return fmt.Errorf("rankd %d: rebuild frame carries %d owners / %d positions, system has %d atoms",
-			s.id, len(f.Ints), len(f.Vecs), rt.n)
+			s.id, len(f.Ints), len(f.Vecs), h.n)
 	}
-	rt.rebuildTick = f.Step
-	copy(rt.owner, f.Ints)
-	copy(rt.pw, f.Vecs)
-	for i := range rt.pairCnt {
-		rt.pairCnt[i] = 0
-	}
+	h.rebuildTick = f.Step
+	copy(h.owner, f.Ints)
+	copy(h.pw, f.Vecs)
+	clear(h.pairCnt)
 	rk.execRebuild()
-	s.nOwned = rk.nOwned
-	s.reduceAll = s.reduceAll[:0]
-	for t := 0; t < rk.nOwned; t++ {
-		s.reduceAll = append(s.reduceAll, int32(t))
-	}
 
-	// Per-center counts back to the driver, owned-ascending (gOf order).
+	// Per-center counts back to the driver, owned-ascending (gOf order),
+	// then this rank's workload counters for the driver's RuntimeStats.
 	out := &s.sendF
-	out.Reset(transport.KindCounts, s.nr, rt.rebuildTick)
-	ints := out.EnsureInts(rk.nOwned)
+	out.Reset(transport.KindCounts, s.nr, h.rebuildTick)
+	ints := out.EnsureInts(rk.nOwned + countsTrailer)
 	for t := 0; t < rk.nOwned; t++ {
-		ints[t] = rt.pairCnt[rk.gOf[t]]
+		ints[t] = h.pairCnt[rk.gOf[t]]
 	}
+	copy(ints[rk.nOwned:], []int32{int32(rk.nInterior), int32(rk.nGhosts), int32(rk.ghostRowCount)})
 	if err := s.ep.Send(out); err != nil {
 		return fmt.Errorf("rankd %d: send counts: %w", s.id, err)
 	}
@@ -417,7 +392,7 @@ func (s *RankServer) handleRebuild(f *transport.Frame) error {
 		}
 		g := &rk.recvF
 		if g.Kind == transport.KindLayout {
-			if g.Step == rt.rebuildTick {
+			if g.Step == h.rebuildTick {
 				break
 			}
 			continue // a duplicate or stale layout of an earlier rebuild
@@ -435,53 +410,46 @@ func (s *RankServer) handleRebuild(f *transport.Frame) error {
 			// parked epoch frame.
 			rk.stashData()
 			rk.commErr = nil
-			rt.started = false
+			h.started = false
 			return errAbandoned
 		}
 		rk.stashData()
 	}
-	if len(rk.recvF.Ints) != rt.n+1 {
-		return fmt.Errorf("rankd %d: layout frame carries %d offsets, want %d", s.id, len(rk.recvF.Ints), rt.n+1)
+	if len(rk.recvF.Ints) != h.n+1 {
+		return fmt.Errorf("rankd %d: layout frame carries %d offsets, want %d", s.id, len(rk.recvF.Ints), h.n+1)
 	}
-	copy(rt.pairStart, rk.recvF.Ints)
-	rt.nPairs = int(rt.pairStart[rt.n])
-	if cap(rt.pairGI) < rt.nPairs {
-		rt.pairGI = make([]int32, rt.nPairs)
-		rt.pairGJ = make([]int32, rt.nPairs)
-		rt.rows = make([][3]float64, rt.nPairs)
-		rt.pairE = make([]float64, rt.nPairs)
-		rt.interiorSlot = make([]bool, rt.nPairs)
+	copy(h.pairStart, rk.recvF.Ints)
+	nPairs := int(h.pairStart[h.n])
+	if cap(h.rows) < nPairs {
+		h.rows = make([][3]float64, nPairs)
+		h.pairE = make([]float64, nPairs)
 	}
-	rt.pairGI = rt.pairGI[:rt.nPairs]
-	rt.pairGJ = rt.pairGJ[:rt.nPairs]
-	rt.rows = rt.rows[:rt.nPairs]
-	rt.pairE = rt.pairE[:rt.nPairs]
-	rt.interiorSlot = rt.interiorSlot[:rt.nPairs]
+	h.rows = h.rows[:nPairs]
+	h.pairE = h.pairE[:nPairs]
 
 	rk.execSlots()
 	rk.execPlanExchange()
 	if rk.commErr != nil {
-		return s.settlePhaseComm(rt.rebuildTick)
+		return s.settlePhaseComm(h.rebuildTick)
 	}
 	s.buildLocalAdjacency()
-	rt.started = true
-	s.logln("rebuild %d: %d owned, %d ghosts, %d pairs", rt.rebuildTick, rk.nOwned, rk.nGhosts, rk.pairs.Len())
+	rk.reservePark()
+	h.started = true
+	s.logln("rebuild %d: %d owned, %d ghosts, %d pairs", h.rebuildTick, rk.nOwned, rk.nGhosts, rk.pairs.Len())
 	return nil
 }
 
 // buildLocalAdjacency derives, for every atom this rank owns, the signed
-// slot references contributing to its force, in ascending slot order —
-// exactly the sub-ranges of the master's global adjacency that execReduce
-// reads here. Center references come from this rank's own pairs (centers
-// are owned); neighbor references come from own pairs whose neighbor this
-// rank owns (directly or as a self-ghost image) plus the row plans peers
-// registered at the plan swap (their pairs whose ghost neighbor lives
-// here). Every global slot contributes exactly one center and one neighbor
-// reference somewhere, so the union is the master's list; sorting by
-// (atom, slot, side) reproduces the master's per-atom order (ascending
-// slot, center half before neighbor half).
+// slot references contributing to its force, in ascending slot order.
+// Center references come from this rank's own pairs (centers are owned);
+// neighbor references come from own pairs whose neighbor this rank owns
+// (directly or as a self-ghost image) plus the row plans peers registered
+// at the plan swap (their pairs whose ghost neighbor lives here). Every
+// global slot contributes exactly one center and one neighbor reference
+// somewhere; sorting by (atom, slot, side) gives each atom the serial
+// accumulation order (ascending slot, center half before neighbor half).
 func (s *RankServer) buildLocalAdjacency() {
-	rt, rk := s.rt, s.rk
+	h, rk := s.h, s.rk
 	refs := make([]int64, 0, 2*rk.pairs.Len())
 	pack := func(atom int32, ref int32) int64 { return int64(atom)<<32 | int64(ref) }
 	p := &rk.pairs
@@ -489,7 +457,7 @@ func (s *RankServer) buildLocalAdjacency() {
 		gi := rk.gOf[p.I[t]]
 		refs = append(refs, pack(gi, rk.slotOf[t]<<1))
 		gj := rk.gOf[p.J[t]]
-		if rt.owner[gj] == int32(rk.id) {
+		if h.owner[gj] == int32(rk.id) {
 			refs = append(refs, pack(gj, rk.slotOf[t]<<1|1))
 		}
 	}
@@ -501,75 +469,88 @@ func (s *RankServer) buildLocalAdjacency() {
 	}
 	sort.Slice(refs, func(a, b int) bool { return refs[a] < refs[b] })
 
-	if cap(rt.adj) < len(refs) {
-		rt.adj = make([]int32, len(refs))
+	if cap(h.adj) < len(refs) {
+		h.adj = make([]int32, len(refs))
 	}
-	rt.adj = rt.adj[:len(refs)]
-	for i := range rt.adjPtr {
-		rt.adjPtr[i] = 0
-	}
+	h.adj = h.adj[:len(refs)]
+	clear(h.adjPtr)
 	for i, r := range refs {
-		rt.adj[i] = int32(r & 0xFFFFFFFF)
-		rt.adjPtr[int(r>>32)+1]++
+		h.adj[i] = int32(r & 0xFFFFFFFF)
+		h.adjPtr[int(r>>32)+1]++
 	}
-	for a := 0; a < rt.n; a++ {
-		rt.adjPtr[a+1] += rt.adjPtr[a]
+	for a := 0; a < h.n; a++ {
+		h.adjPtr[a+1] += h.adjPtr[a]
 	}
 }
 
-// handleStep runs one force evaluation: import owned positions, exchange
-// ghosts with the peers, evaluate both blocks, exchange reverse rows,
-// reduce, and return forces plus slot-ordered pair energies to the driver.
+// countsTrailer is the number of workload counters a KindCounts frame
+// carries after the per-center pair counts: interior pairs, ghosts, and
+// ghost force rows. forcesTrailer is the number of phase timers (ns) a
+// KindForces frame carries after the pair energies: the forward exchange's
+// post-to-staged wall, the ghost wait, and the interior, frontier and
+// reduce times.
+const (
+	countsTrailer = 3
+	forcesTrailer = 5
+)
+
+// handleStep runs one force evaluation: import owned positions, post the
+// ghost exchange, evaluate the interior block while it travels, receive
+// the ghosts, evaluate the frontier block, exchange reverse rows, reduce,
+// and return forces, slot-ordered pair energies and phase timers to the
+// driver.
 func (s *RankServer) handleStep(f *transport.Frame) error {
-	rt, rk := s.rt, s.rk
-	rt.stepTick = f.Step
-	if !rt.started {
+	h, rk := s.h, s.rk
+	h.stepTick = f.Step
+	if !h.started {
 		// No valid plans — a prior phase aborted or a recovery epoch
 		// invalidated them. NACK so the driver latches at this tick.
 		return &abortError{tick: f.Step, dead: s.firstDead()}
 	}
-	if len(f.Vecs) != s.nOwned {
-		return fmt.Errorf("rankd %d: position frame carries %d atoms, rank owns %d", s.id, len(f.Vecs), s.nOwned)
+	if len(f.Vecs) != rk.nOwned {
+		return fmt.Errorf("rankd %d: position frame carries %d atoms, rank owns %d", s.id, len(f.Vecs), rk.nOwned)
 	}
 	for t, v := range f.Vecs {
-		rt.pw[rk.gOf[t]] = v
+		h.pw[rk.gOf[t]] = v
 	}
-	rt.parity ^= 1
-	rt.postTime = time.Now()
-	rk.execExchangeGhosts()
+	h.parity ^= 1
+	post := time.Now()
+	rk.postGhosts()
+	interiorNs := rk.evalBlock(0, rk.nInterior, &rk.intView)
+	wait := time.Now()
+	rk.waitGhosts()
+	waitNs := time.Since(wait).Nanoseconds()
+	commNs := time.Since(post).Nanoseconds()
 	if errors.Is(rk.commErr, errRecoverInterrupt) {
 		// The recovery epoch opened while this rank waited for ghosts: its
 		// frame is parked for the serve loop, and the row exchange below
 		// reads only row and death frames, so it would wait for rows no
 		// peer will send while the driver waits for this rank's ack.
-		return s.settlePhaseComm(rt.stepTick)
+		return s.settlePhaseComm(h.stepTick)
 	}
-	rk.evalIntNs = rk.timeEval(0, rk.nInterior, &rk.intView)
-	rk.evalFrontNs = rk.timeEval(rk.nInterior, rk.pairs.Len(), &rk.frontView)
+	frontierNs := rk.evalBlock(rk.nInterior, rk.pairs.Len(), &rk.frontView)
 	rk.execExchangeRows()
 	if rk.commErr != nil {
-		return s.settlePhaseComm(rt.stepTick)
+		return s.settlePhaseComm(h.stepTick)
 	}
-	rk.execReduce(s.reduceAll)
+	reduce := time.Now()
+	rk.execReduce()
+	reduceNs := time.Since(reduce).Nanoseconds()
 
 	out := &s.sendF
-	out.Reset(transport.KindForces, s.nr, rt.stepTick)
-	vecs := out.EnsureVecs(s.nOwned)
+	out.Reset(transport.KindForces, s.nr, h.stepTick)
+	vecs := out.EnsureVecs(rk.nOwned)
 	nSlots := 0
-	for t := 0; t < s.nOwned; t++ {
-		g := rk.gOf[t]
-		vecs[t] = rt.forces[g]
-		nSlots += int(rt.pairStart[g+1] - rt.pairStart[g])
+	for t, g := range rk.gOf[:rk.nOwned] {
+		vecs[t] = h.forces[g]
+		nSlots += int(h.pairStart[g+1] - h.pairStart[g])
 	}
-	sc := out.EnsureScalars(nSlots)
+	sc := out.EnsureScalars(nSlots + forcesTrailer)
 	k := 0
-	for t := 0; t < s.nOwned; t++ {
-		g := rk.gOf[t]
-		for slot := rt.pairStart[g]; slot < rt.pairStart[g+1]; slot++ {
-			sc[k] = rt.pairE[slot]
-			k++
-		}
+	for _, g := range rk.gOf[:rk.nOwned] {
+		k += copy(sc[k:], h.pairE[h.pairStart[g]:h.pairStart[g+1]])
 	}
+	copy(sc[k:], []float64{float64(commNs), float64(waitNs), float64(interiorNs), float64(frontierNs), float64(reduceNs)})
 	if err := s.ep.Send(out); err != nil {
 		return fmt.Errorf("rankd %d: send forces: %w", s.id, err)
 	}

@@ -11,28 +11,31 @@ import (
 	"repro/internal/units"
 )
 
-// This file is the driver half of multi-process execution: a RemoteRuntime
-// runs the master's role of the decomposition — ownership classification,
-// the canonical slot layout, force/energy assembly — while the rank bodies
-// run in separate processes (allegro-rankd, each hosting one RankServer).
-// Everything rank-local travels as transport frames; everything global is
-// derived with the exact arithmetic of the in-process Runtime (shared
-// helpers: wrapPositions, skinTriggered, rankOfCell, core.ReduceRows), so
-// a distributed trajectory is bit-identical to the in-process one.
+// This file is the driver half of the decomposition: a RemoteRuntime runs
+// the global bookkeeping — ownership classification, the canonical slot
+// layout, force/energy assembly, the step statistics — while the rank
+// bodies run as RankServers: separate processes (allegro-rankd) on a TCP
+// fleet, or goroutines on the channel transport behind Runtime. Everything
+// rank-local travels as transport frames; everything global is derived
+// with the shared helpers (wrapPositions, skinTriggered, rankOfCell,
+// core.ReduceRows), so a trajectory is bit-identical on every host.
 //
 // Protocol (driver is transport rank nranks; grid ranks are 0..nranks-1):
 //
 //	rendezvous  driver -> rank  KindConfig   JSON config + serialized model
 //	            rank -> driver  KindConfig   ready ack
 //	rebuild     driver -> all   KindRebuild  Ints=owner, Vecs=wrapped pos
-//	            rank -> driver  KindCounts   Ints=pair count per owned atom
+//	            rank -> driver  KindCounts   Ints=pair count per owned atom,
+//	                                         then interior pairs, ghosts,
+//	                                         ghost rows
 //	            driver -> all   KindLayout   Ints=pairStart prefix (len n+1)
 //	            rank <-> rank   KindFwdPlan/KindRowPlan (peer plan swap)
 //	step        driver -> rank  KindOwnedPos Vecs=wrapped owned positions
 //	            rank <-> rank   KindGhostPos / KindRows (peer exchanges)
 //	            rank -> driver  KindForces   Vecs=owned forces,
 //	                                         Scalars=pair energies in
-//	                                         ascending-slot order
+//	                                         ascending-slot order, then
+//	                                         the rank's phase timers
 //	shutdown    driver -> all   KindShutdown
 //	            rank -> driver  KindShutdown ack; the driver then closes
 //	                                         the transport
@@ -70,12 +73,12 @@ type remoteWire struct {
 	Model   json.RawMessage `json:"model"`
 }
 
-// RemoteRuntime drives a rank-process fleet as an md.InPlacePotential: the
+// RemoteRuntime drives a rank-server fleet as an md.InPlacePotential: the
 // integrator lives in this process, force evaluation is distributed. It is
-// bound to the system it was constructed with, like Runtime. The step
-// schedule is bulk-synchronous (the overlap pipeline needs the shared
-// in-process arenas); trajectories are bit-identical to every in-process
-// variant regardless.
+// bound to the system it was constructed with, like Runtime, and it is the
+// driver Runtime runs over its goroutine ranks. Each rank hides its ghost
+// exchange behind its interior block; trajectories are bit-identical to
+// the in-process Runtime regardless of the wire.
 type RemoteRuntime struct {
 	model *core.Model
 	sys   *atoms.System
@@ -260,7 +263,9 @@ func (r *RemoteRuntime) NumRanks() int { return r.nr }
 // Grid returns the decomposition grid.
 func (r *RemoteRuntime) Grid() [3]int { return r.grid }
 
-// Stats returns cumulative runtime statistics (steps, rebuilds, pair work).
+// Stats returns cumulative runtime statistics: steps, rebuilds, migrations,
+// the ranks' workload counters at the last rebuild, and the slowest rank's
+// phase timers per step.
 func (r *RemoteRuntime) Stats() RuntimeStats { return r.stats }
 
 // LinkStats returns the transport's measured per-link statistics.
@@ -277,11 +282,7 @@ func (r *RemoteRuntime) Close() {
 		return
 	}
 	r.closed = true
-	f := &r.sendF
-	for d := 0; d < r.nr; d++ {
-		f.Reset(transport.KindShutdown, d, r.stepTick)
-		_ = r.ep.Send(f) // best effort: a dead rank cannot be shut down
-	}
+	r.broadcastShutdown()
 	// Closing the wire before a rank has read its shutdown fails that
 	// rank's pending Recv, so wait for every rank's acknowledgement (or
 	// death notice). A rank that died unnoticed never answers: the wait is
@@ -309,6 +310,16 @@ func (r *RemoteRuntime) Close() {
 	r.tr.Close()
 }
 
+// broadcastShutdown sends every rank its shutdown frame (best effort: a
+// dead rank cannot be shut down).
+func (r *RemoteRuntime) broadcastShutdown() {
+	f := &r.sendF
+	for d := 0; d < r.nr; d++ {
+		f.Reset(transport.KindShutdown, d, r.stepTick)
+		_ = r.ep.Send(f)
+	}
+}
+
 // EnergyForces implements md.Potential.
 func (r *RemoteRuntime) EnergyForces(sys *atoms.System) (float64, [][3]float64) {
 	forces := make([][3]float64, r.n)
@@ -318,6 +329,12 @@ func (r *RemoteRuntime) EnergyForces(sys *atoms.System) (float64, [][3]float64) 
 
 // EnergyForcesInto implements md.InPlacePotential over the rank fleet.
 func (r *RemoteRuntime) EnergyForcesInto(sys *atoms.System, forces [][3]float64) float64 {
+	return r.energyForces(sys, forces, nil)
+}
+
+// energyForces is one force evaluation over the fleet; ready (when non-nil)
+// receives each rank's owned atoms, ascending, as that rank's forces land.
+func (r *RemoteRuntime) energyForces(sys *atoms.System, forces [][3]float64, ready func([]int32)) float64 {
 	if sys != r.sys {
 		panic("domain: RemoteRuntime is bound to the system it was constructed with")
 	}
@@ -335,7 +352,7 @@ func (r *RemoteRuntime) EnergyForcesInto(sys *atoms.System, forces [][3]float64)
 			return r.energy
 		}
 	}
-	if err := r.step(forces); err != nil {
+	if err := r.step(forces, ready); err != nil {
 		r.latch(PhaseStep, err)
 		return r.energy
 	}
@@ -377,15 +394,27 @@ func (r *RemoteRuntime) rebuild() error {
 		}
 	}
 	// Per-center pair counts come back per rank (each center is owned by
-	// exactly one rank, so the scatter is disjoint).
+	// exactly one rank, so the scatter is disjoint), followed by the rank's
+	// workload counters.
+	st := &r.stats
+	st.InteriorPairs, st.MaxOwned, st.MaxGhosts, st.TotalGhost = 0, 0, 0, 0
+	st.ForwardBytesPerStep, st.ReverseBytesPerStep = 0, 0
 	err := r.collect(transport.KindCounts, r.rebuildTick, -1, func(s int, g *transport.Frame) error {
 		owned := r.ownedOf[s]
-		if len(g.Ints) != len(owned) {
-			return fmt.Errorf("domain: rank %d sent %d pair counts, owns %d atoms", s, len(g.Ints), len(owned))
+		if len(g.Ints) != len(owned)+countsTrailer {
+			return fmt.Errorf("domain: rank %d sent %d pair counts, owns %d atoms", s, len(g.Ints)-countsTrailer, len(owned))
 		}
 		for k, a := range owned {
 			r.pairCnt[a] = g.Ints[k]
 		}
+		tail := g.Ints[len(owned):]
+		interior, ghosts, ghostRows := int(tail[0]), int(tail[1]), int(tail[2])
+		st.InteriorPairs += interior
+		st.MaxOwned = max(st.MaxOwned, len(owned))
+		st.MaxGhosts = max(st.MaxGhosts, ghosts)
+		st.TotalGhost += ghosts
+		st.ForwardBytesPerStep += ghosts * 24    // 3 float64 per ghost position
+		st.ReverseBytesPerStep += ghostRows * 24 // 3 float64 per ghost force row
 		return nil
 	})
 	if err != nil {
@@ -417,8 +446,8 @@ func (r *RemoteRuntime) rebuild() error {
 }
 
 // step ships every rank its owned positions and assembles the returned
-// forces and pair energies.
-func (r *RemoteRuntime) step(forces [][3]float64) error {
+// forces, pair energies and phase timers (the slowest rank's per phase).
+func (r *RemoteRuntime) step(forces [][3]float64, ready func([]int32)) error {
 	f := &r.sendF
 	for d := 0; d < r.nr; d++ {
 		owned := r.ownedOf[d]
@@ -431,7 +460,8 @@ func (r *RemoteRuntime) step(forces [][3]float64) error {
 			return fmt.Errorf("domain: positions to rank %d: %w", d, err)
 		}
 	}
-	return r.collect(transport.KindForces, r.stepTick, -1, func(s int, g *transport.Frame) error {
+	var slowest [forcesTrailer]float64
+	err := r.collect(transport.KindForces, r.stepTick, -1, func(s int, g *transport.Frame) error {
 		owned := r.ownedOf[s]
 		if len(g.Vecs) != len(owned) {
 			return fmt.Errorf("domain: rank %d sent %d forces, owns %d atoms", s, len(g.Vecs), len(owned))
@@ -440,21 +470,30 @@ func (r *RemoteRuntime) step(forces [][3]float64) error {
 		for _, a := range owned {
 			nSlots += int(r.pairCnt[a])
 		}
-		if len(g.Scalars) != nSlots {
-			return fmt.Errorf("domain: rank %d sent %d pair energies, holds %d slots", s, len(g.Scalars), nSlots)
+		if len(g.Scalars) != nSlots+forcesTrailer {
+			return fmt.Errorf("domain: rank %d sent %d pair energies, holds %d slots", s, len(g.Scalars)-forcesTrailer, nSlots)
 		}
 		k := 0
-		for _, a := range owned {
-			forces[a] = g.Vecs[k]
-			k++
+		for i, a := range owned {
+			forces[a] = g.Vecs[i]
+			k += copy(r.pairE[r.pairStart[a]:r.pairStart[a+1]], g.Scalars[k:])
 		}
-		k = 0
-		for _, a := range owned {
-			for slot := r.pairStart[a]; slot < r.pairStart[a+1]; slot++ {
-				r.pairE[slot] = g.Scalars[k]
-				k++
-			}
+		for i, ns := range g.Scalars[k:] {
+			slowest[i] = max(slowest[i], ns)
+		}
+		if ready != nil {
+			ready(owned)
 		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	st := &r.stats
+	st.CommWallNs += int64(slowest[0])
+	st.ExchangeWaitNs += int64(slowest[1])
+	st.InteriorNs += int64(slowest[2])
+	st.FrontierNs += int64(slowest[3])
+	st.ReduceNs += int64(slowest[4])
+	return nil
 }

@@ -183,6 +183,42 @@ func TestRemoteRuntimeOverTCP(t *testing.T) {
 	}
 }
 
+// TestRemoteRuntimeStatsMatchLocal: the in-process Runtime and the TCP
+// fleet run the same rank step, so they report the same workload counters
+// for the same water box and grid — the ranks' interior pairs, ghosts and
+// exchange volumes travel to the driver in their KindCounts frames.
+func TestRemoteRuntimeStatsMatchLocal(t *testing.T) {
+	const steps, temp = 10, 600.0
+	for _, grid := range [][3]int{{2, 1, 1}, {2, 2, 2}} {
+		nr := grid[0] * grid[1] * grid[2]
+		base := runTrajectory(t, RuntimeOptions{Grid: grid, Skin: 0.5}, steps, temp)
+		local := base.Runtime.(*Runtime).Stats()
+		if local.TotalGhost == 0 || local.ForwardBytesPerStep == 0 {
+			t.Fatalf("grid %v: in-process runtime reports no ghost traffic: %+v", grid, local)
+		}
+		checkRemoteBitwise(t, "tcp", grid, newLocalTCPGroup(t, nr+1), base, steps, temp, func(rr *RemoteRuntime) {
+			remote := rr.Stats()
+			for _, c := range []struct {
+				name      string
+				got, want int
+			}{
+				{"PairWork", remote.PairWork, local.PairWork},
+				{"InteriorPairs", remote.InteriorPairs, local.InteriorPairs},
+				{"MaxOwned", remote.MaxOwned, local.MaxOwned},
+				{"MaxGhosts", remote.MaxGhosts, local.MaxGhosts},
+				{"TotalGhost", remote.TotalGhost, local.TotalGhost},
+				{"ForwardBytesPerStep", remote.ForwardBytesPerStep, local.ForwardBytesPerStep},
+				{"ReverseBytesPerStep", remote.ReverseBytesPerStep, local.ReverseBytesPerStep},
+			} {
+				if c.got != c.want {
+					t.Errorf("grid %v: fleet %s = %d, in-process %d", grid, c.name, c.got, c.want)
+				}
+			}
+		})
+		base.Close()
+	}
+}
+
 // slowRanks delays every receive of the rank endpoints (ranks < nr) — rank
 // servers that are busy whenever the driver sends — and leaves the
 // driver's endpoint as it is.

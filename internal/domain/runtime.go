@@ -1,11 +1,11 @@
 package domain
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/atoms"
@@ -36,15 +36,9 @@ type RuntimeOptions struct {
 	// evaluation and neighbor builds). Values <= 0 select 1: by default
 	// parallelism comes from the ranks themselves.
 	WorkersPerRank int
-	// Overlap enables the communication-hiding step pipeline: the forward
-	// ghost-position exchange is posted asynchronously and hidden behind
-	// the interior-block evaluation, the interior force reduction runs
-	// concurrently with the frontier-block evaluation, and the reverse
-	// ghost-force reduction of frontier atoms overlaps the caller's
-	// integration of interior atoms (md.PipelinedPotential). Trajectories
-	// are bit-identical with Overlap on or off: the schedule changes, the
-	// canonical slot arithmetic does not. Off runs the same phases
-	// bulk-synchronously.
+	// Deprecated: Overlap is ignored. Every rank step runs the one
+	// communication-hiding schedule (ghost exchange posted before, and
+	// received after, the interior block).
 	Overlap bool
 }
 
@@ -69,17 +63,14 @@ type RuntimeStats struct {
 	ForwardBytesPerStep int
 	ReverseBytesPerStep int
 
-	// Per-phase timers, cumulative nanoseconds over all steps.
-	// ExchangeWaitNs is measured on the dispatching goroutine: the
-	// *exposed* forward-exchange wait — the time the step actually stalled
-	// for ghost positions after any overlapping computation finished —
-	// while CommWallNs is the full post-to-arrival wall of the exchange;
-	// their ratio is the overlap fraction. InteriorNs, FrontierNs, and
-	// ReduceNs are the slowest rank's time spent *inside* each phase
-	// (interior-block eval, frontier-block eval, both force reductions),
-	// self-timed on the rank goroutines — so the numbers mean the same
-	// thing with the overlap pipeline on or off and exclude dispatch and
-	// caller-callback overhead.
+	// Per-phase timers, cumulative nanoseconds over all steps, each the
+	// slowest rank's self-timed value per step (reported in the rank's
+	// KindForces frame). CommWallNs is the forward exchange's post-to-staged
+	// wall; ExchangeWaitNs is the part of it the rank spent blocked on ghost
+	// frames after the interior block — the *exposed* wait; their ratio is
+	// the overlap fraction. InteriorNs, FrontierNs and ReduceNs are the time
+	// spent inside the interior-block eval, the frontier-block eval and the
+	// force reduction.
 	ExchangeWaitNs int64
 	CommWallNs     int64
 	InteriorNs     int64
@@ -88,10 +79,8 @@ type RuntimeStats struct {
 }
 
 // OverlapFraction reports how much of the forward ghost-exchange wall time
-// was hidden behind computation: 1 - exposed/total, clamped to [0, 1]. A
-// bulk-synchronous runtime exposes the whole exchange (fraction ~0); the
-// overlap pipeline hides it behind the interior block (fraction near 1 when
-// the interior workload dominates the exchange).
+// was hidden behind computation: 1 - exposed/total, clamped to [0, 1] —
+// near 1 when the interior workload dominates the exchange.
 func (s RuntimeStats) OverlapFraction() float64 {
 	if s.CommWallNs <= 0 {
 		return 0
@@ -106,259 +95,46 @@ func (s RuntimeStats) OverlapFraction() float64 {
 	return f
 }
 
-// rankCmd is one phase command sent to a rank's worker or comm goroutine.
-type rankCmd uint8
-
-const (
-	// Worker-goroutine phases.
-	//
-	// cmdRebuild re-derives rank membership: owned atoms, ghost imports
-	// within halo+skin, the rank-local Verlet list in canonical per-center
-	// order partitioned into interior/frontier blocks, and the per-center
-	// pair counts the slot assignment needs.
-	cmdRebuild rankCmd = iota
-	// cmdSlots assigns every local pair its global slot (canonical order:
-	// ascending global center, then (global neighbor, image)), publishes
-	// the slot's global endpoints for the adjacency build, and marks
-	// interior slots.
-	cmdSlots
-	// cmdPlan derives the split reduction plan from the master's per-atom
-	// classification: which owned atoms reduce after the interior block and
-	// which must wait for the frontier rows.
-	cmdPlan
-	// cmdEvalInterior refreshes the interior-block pair vectors from owned
-	// positions only (no ghost data), evaluates the block, and scatters
-	// rows and pair energies into the global slot buffers.
-	cmdEvalInterior
-	// cmdEvalFrontier refreshes the frontier-block pair vectors — ghost
-	// neighbors read from the staged arena the forward exchange filled —
-	// evaluates the block, and scatters.
-	cmdEvalFrontier
-	// cmdEvalAll runs both blocks back to back in one dispatch — the
-	// bulk-synchronous schedule, where the exchange has already completed
-	// so nothing is gained by splitting the barriers.
-	cmdEvalAll
-	// cmdReduceFrontier accumulates the forces of owned atoms that receive
-	// frontier rows, in canonical slot order.
-	cmdReduceFrontier
-
-	// Comm-goroutine phases.
-	//
-	// cmdPack is the forward ghost-position exchange: self-owned images are
-	// staged directly, cross-rank ghost blocks are posted through the
-	// transport as KindGhostPos frames and scattered into the current half
-	// of the double-buffered arena by the receiving rank's exchange plan.
-	cmdPack
-	// cmdReduceInterior accumulates the forces of owned atoms whose every
-	// contribution is an interior row; it runs on the comm goroutine so it
-	// can overlap the worker's frontier evaluation.
-	cmdReduceInterior
-	// cmdPlanExchange (rebuild only) derives and swaps the per-link
-	// exchange plans: each rank tells every peer which global atoms it
-	// needs forwarded (receiver-driven ghost plan) and which pair slots it
-	// will push force rows for (sender-driven row plan).
-	cmdPlanExchange
-	// cmdExchangeRows is the reverse exchange: frontier force rows whose
-	// ghost neighbor is owned by another rank travel to the owner as
-	// KindRows frames and settle into their canonical slots before the
-	// frontier reduction reads them.
-	cmdExchangeRows
-)
-
-// Runtime is the persistent domain-decomposed force engine: long-lived rank
-// workers (goroutines over preallocated channels, standing in for MPI
-// ranks) that each own a core.EvalScratch, a local neighbor.Builder with a
-// Verlet skin, reusable ghost/exchange buffers, and a companion comm
-// goroutine (the MPI progress thread stand-in) serving the asynchronous
-// ghost exchange and the early half of the split force reduction. In steady
-// state — no atom has moved skin/2 since the last rebuild — a Step
-// refreshes pair vectors, evaluates rank-local rows and reduces forces
-// without a single heap allocation; rebuilds (membership migration, ghost
-// import, neighbor lists, exchange plan, interior/frontier partition)
-// happen only when the displacement trigger fires.
+// Runtime is the in-process domain-decomposed force engine: the rank-server
+// fleet on a channel transport. NewRuntime starts one goroutine per rank,
+// each serving a RankServer on its endpoint of a transport.NewChan world,
+// and drives them with a RemoteRuntime on the last endpoint — the same
+// rendezvous, rebuild and step protocol, and the same rank step, as a fleet
+// of allegro-rankd processes over TCP. Each rank keeps a core.EvalScratch, a
+// local neighbor.Builder with a Verlet skin and reusable ghost/exchange
+// buffers; in steady state — no atom has moved skin/2 since the last
+// rebuild — a step allocates nothing.
 //
-// Each step runs the communication-hiding pipeline of the paper's scaling
-// argument: the forward ghost-position exchange is posted first, the
-// interior pair blocks (centers whose environments reference no ghost)
-// evaluate while it is in flight, the frontier blocks evaluate on arrival,
-// and the force reduction is split so interior atoms finish — and can be
-// integrated by a pipelined caller — while the reverse ghost-force
-// reduction of frontier atoms is still running. With Overlap false the same
-// phases run bulk-synchronously; the arithmetic is identical either way.
+// Each rank step hides communication the way the paper's LAMMPS runs do:
+// the forward ghost-position exchange is posted first, the interior pair
+// block (centers whose environments reference no ghost) evaluates while it
+// is in flight, and the frontier block evaluates on arrival.
 //
 // Determinism: every pair is assigned a canonical global slot — ascending
 // global center atom, then (global neighbor, periodic image) — independent
 // of the rank grid, and per-atom forces and the total energy are reduced in
 // slot order. Combined with Allegro's strict locality (a center's pairs
 // form an independent sub-graph wholly owned by one rank), trajectories are
-// bit-identical across rank grids, worker counts, skin values, and overlap
-// on/off.
+// bit-identical across rank grids, worker counts, skin values and
+// transports.
 //
-// The ranks exchange frames over an in-process channel transport the
-// runtime builds and owns. Goroutine ranks cannot die, so there is no
-// failure path: rank failure and elastic recovery exist only on the
-// multi-process fleet (RemoteRuntime + RankServer), which runs the same
-// rank phases.
+// Goroutine ranks cannot die, so there is no failure path: a latched fleet
+// error panics. Rank failure and elastic recovery are driven through
+// RemoteRuntime on a process fleet.
 //
 // A Runtime is bound to the *atoms.System it was constructed with and
 // serves one simulation loop; it implements md.InPlacePotential and
-// md.PipelinedPotential. Call Close to release the rank workers and the
-// transport.
+// md.PipelinedPotential. Call Close to stop the rank goroutines.
 type Runtime struct {
-	model *core.Model
-	sys   *atoms.System
-	opts  RuntimeOptions
-	grid  [3]int
-	sub   [3]float64
-	halo  float64 // ghost-import distance before the skin is added
-	skin  float64
-
-	n      int
-	pw     [][3]float64 // wrapped positions, refreshed every step
-	refPos [][3]float64 // unwrapped positions at the last rebuild
-	owner  []int32      // owning rank per atom, frozen between rebuilds
-
-	ranks    []*rank
-	cmds     []chan rankCmd // worker-goroutine channels
-	comm     []chan rankCmd // comm-goroutine channels
-	done     chan struct{}
-	commDone chan struct{}
-	wg       sync.WaitGroup
-
-	// Global slot-indexed exchange state (rebuilt with the neighbor lists).
-	nPairs    int
-	pairCnt   []int32 // per-atom pair count (rebuild scratch)
-	pairStart []int32 // slot prefix per atom, len n+1
-	pairGI    []int32 // global center per slot
-	pairGJ    []int32 // global neighbor per slot
-	rows      [][3]float64
-	pairE     []float64
-	adj       []int32 // per-atom signed slot refs: slot<<1 | isNeighborSide
-	adjPtr    []int32 // len n+1
-	adjFill   []int32 // rebuild scratch
-
-	// Interior/frontier classification (rebuilt with the slot layout).
-	interiorSlot  []bool  // per-slot: row independent of ghost data
-	atomInterior  []bool  // per-atom: every contributing slot is interior
-	readyInterior []int32 // atoms deliverable after the interior reduction
-	readyFrontier []int32 // atoms deliverable only after the frontier rows
-
-	parity   int       // double-buffer half the current step's exchange fills
-	postTime time.Time // when the current step's exchange was posted
-
-	// Transport state: the in-process channel transport the comm goroutines
-	// post through (nil in a RankServer's headless shell, whose rank owns a
-	// process endpoint). stepTick/rebuildTick tag frames so receivers can
-	// discard duplicates and stale deliveries; deadRank records peers whose
-	// death a rank server's phases observed (in-process ranks cannot die).
-	tr          transport.Transport
-	stepTick    uint64
-	rebuildTick uint64
-	deadRank    []atomic.Bool
-
-	forces  [][3]float64 // caller buffer, set for the duration of one step
-	energy  float64
-	started bool
+	rr      *RemoteRuntime
+	servers []*RankServer // the rank goroutines' servers, by rank id
+	wg      sync.WaitGroup
 	closed  bool
-	stats   RuntimeStats
 }
 
-// rank is the persistent state of one subdomain worker.
-type rank struct {
-	rt     *Runtime
-	id     int
-	lo, hi [3]float64
-
-	nOwned int
-	gOf    []int32       // local index -> global atom (owned first, then ghosts)
-	shift  [][3]float64  // local index -> periodic image offset (owned: zero)
-	code   []uint8       // local index -> image code in [0,27) (owned: 13)
-	local  *atoms.System // local species + build-time positions
-
-	builder  neighbor.Builder
-	pairs    neighbor.Pairs
-	slotOf   []int32
-	scratch  *core.EvalScratch
-	rowsBuf  [][3]float64
-	pairEBuf []float64
-
-	// Interior/frontier partition of the canonical local pair list: pairs
-	// [0, nInterior) form the interior block, the rest the frontier block.
-	// The views alias rk.pairs and are refreshed at rebuilds.
-	nInterior          int
-	intView, frontView neighbor.Pairs
-
-	// Double-buffered ghost-position arena: ghost[rt.parity] is the staging
-	// buffer the current step's forward exchange fills (see the ownership
-	// contract in the README); ghost local index t reads ghost[parity][t-nOwned].
-	ghost [2][][3]float64
-
-	// Split reduction plan: local owned indices whose forces are final
-	// after the interior rows (redInterior) vs those needing frontier rows.
-	redInterior, redFrontier []int32
-
-	// Per-step phase self-timing (read by the master after barriers):
-	// forward-exchange wall (post -> staged) and time spent inside each
-	// compute phase on this rank's goroutines.
-	packNs                     int64
-	evalIntNs, evalFrontNs     int64
-	reduceIntNs, reduceFrontNs int64
-
-	// Canonical-sort scratch (rebuild only).
-	perm                   []int
-	tmpI, tmpJ             []int
-	tmpVec                 [][3]float64
-	tmpDist, tmpCut        []float64
-	nGhosts, ghostRowCount int
-
-	// Transport attachment and rebuild-derived exchange plans (see
-	// exchange.go). sendF/recvF are this rank's reusable staging frames;
-	// the per-peer plan slices are indexed by rank id and reused across
-	// rebuilds, so the steady-state framed exchange allocates nothing.
-	ep           transport.Endpoint
-	sendF, recvF transport.Frame
-	seen         []bool  // per-phase receive bookkeeping, indexed by rank
-	planBits     []uint8 // plan-exchange receipt mask per peer (bit 0 fwd, bit 1 row)
-	// stash parks data frames that arrive during a phase that does not
-	// consume them. In-process the phase barriers make this impossible (the
-	// stash stays empty and steady steps allocate nothing); a remote rank
-	// process has no global barrier, so a fast peer's ghost frame can land
-	// while this rank is still collecting exchange plans.
-	stash []*transport.Frame
-
-	// Forward (ghost-position) plans. Self-owned images bypass the
-	// transport: selfGhostIdx/selfGhostAtom list arena slots whose owner is
-	// this rank. fwdNeed[s]/fwdArena[s] are the global atoms this rank
-	// imports from s and their arena destinations (sent to s as the
-	// receiver-driven KindFwdPlan); sendFwd[d] is the pack order peer d
-	// asked this rank for.
-	selfGhostIdx  []int32
-	selfGhostAtom []int32
-	fwdNeed       [][]int32
-	fwdArena      [][]int32
-	sendFwd       [][]int32
-
-	// Reverse (force-row) plans. rowSendT[d] lists this rank's local pair
-	// indices whose ghost neighbor is owned by d, ascending; rowPlan[d] is
-	// the matching interleaved (slot, atom) wire plan sent to d as
-	// KindRowPlan; rowRecv[s] is the interleaved plan received from s,
-	// scattered as rows arrive.
-	rowSendT [][]int32
-	rowPlan  [][]int32
-	rowRecv  [][]int32
-
-	// commErr latches this rank's first transport failure of the current
-	// phase: a rank server NACKs the driver with it, the in-process master
-	// treats it as a bug (checkFailure).
-	commErr error
-}
-
-// centerCode is the image code of an atom's own (unshifted) copy.
-const centerCode = 13
-
-// NewRuntime validates the decomposition and starts the rank workers (one
-// compute goroutine and one comm goroutine per rank). The runtime is bound
-// to sys: the caller (an MD integrator) mutates sys.Pos in place and calls
+// NewRuntime validates the decomposition, starts one rank goroutine per
+// subdomain and performs the rendezvous. The runtime is bound to sys: the
+// caller (an MD integrator) mutates sys.Pos in place and calls
 // EnergyForcesInto each step. No evaluation happens until the first step.
 func NewRuntime(m *core.Model, sys *atoms.System, opts RuntimeOptions) (*Runtime, error) {
 	if opts.Halo == 0 {
@@ -367,86 +143,109 @@ func NewRuntime(m *core.Model, sys *atoms.System, opts RuntimeOptions) (*Runtime
 	if err := validateRuntime(sys, opts); err != nil {
 		return nil, err
 	}
-	n := sys.NumAtoms()
-	r := &Runtime{
-		model:  m,
-		sys:    sys,
-		opts:   opts,
-		grid:   opts.Grid,
-		halo:   opts.Halo,
-		skin:   opts.Skin,
-		n:      n,
-		pw:     make([][3]float64, n),
-		refPos: make([][3]float64, n),
-		owner:  make([]int32, n),
-
-		pairCnt:   make([]int32, n),
-		pairStart: make([]int32, n+1),
-		adjPtr:    make([]int32, n+1),
-		adjFill:   make([]int32, n),
-
-		atomInterior:  make([]bool, n),
-		readyInterior: make([]int32, 0, n),
-		readyFrontier: make([]int32, 0, n),
-	}
 	nr := opts.Grid[0] * opts.Grid[1] * opts.Grid[2]
-	for k := 0; k < 3; k++ {
-		r.sub[k] = sys.Cell[k] / float64(opts.Grid[k])
-	}
-	r.tr = transport.NewChan(nr)
-	r.deadRank = make([]atomic.Bool, nr)
-	r.done = make(chan struct{}, nr)
-	r.commDone = make(chan struct{}, nr)
-	r.cmds = make([]chan rankCmd, nr)
-	r.comm = make([]chan rankCmd, nr)
-	r.ranks = make([]*rank, nr)
+	tr := transport.NewChan(nr + 1)
+	r := &Runtime{servers: make([]*RankServer, nr)}
+	built := make(chan *RankServer, nr)
 	for id := 0; id < nr; id++ {
-		ep, err := r.tr.Endpoint(id)
+		ep, err := tr.Endpoint(id)
 		if err != nil {
-			r.tr.Close()
+			tr.Close()
+			r.wg.Wait()
 			return nil, fmt.Errorf("domain: transport endpoint for rank %d: %w", id, err)
 		}
-		rk := newRank(r, id, ep)
-		r.ranks[id] = rk
-		r.cmds[id] = make(chan rankCmd, 1)
-		r.comm[id] = make(chan rankCmd, 1)
-		r.wg.Add(2)
-		go rk.loop(r.cmds[id])
-		go rk.commLoop(r.comm[id])
+		r.wg.Add(1)
+		go r.serve(ep, built)
 	}
+	rr, err := NewRemoteRuntime(m, sys, RemoteOptions{
+		Grid: opts.Grid, Skin: opts.Skin, Halo: opts.Halo,
+		WorkersPerRank: opts.WorkersPerRank, Transport: tr,
+	})
+	if err != nil {
+		tr.Close()
+		r.wg.Wait()
+		return nil, err
+	}
+	for range nr {
+		srv := <-built
+		r.servers[srv.id] = srv
+	}
+	r.rr = rr
 	return r, nil
 }
 
-// newRank builds the persistent state of rank id of rt's grid: its
-// subdomain bounds, evaluation scratch, neighbor builder and per-peer plan
-// slices, attached to the transport endpoint ep. The in-process runtime and
-// a RankServer's headless shell build their ranks through it alike.
-func newRank(rt *Runtime, id int, ep transport.Endpoint) *rank {
-	workers := rt.WorkersPerRank()
-	nr := len(rt.ranks)
-	g := rt.grid
-	coord := [3]int{id / (g[1] * g[2]), (id / g[2]) % g[1], id % g[2]}
-	rk := &rank{rt: rt, id: id, ep: ep, scratch: core.NewEvalScratch(), local: atoms.NewSystem(0)}
-	for k := 0; k < 3; k++ {
-		rk.lo[k] = float64(coord[k]) * rt.sub[k]
-		rk.hi[k] = rk.lo[k] + rt.sub[k]
+// serve is the body of one rank goroutine: configure a RankServer from the
+// driver's rendezvous and serve until the shutdown frame. A closed
+// transport ends it quietly (NewRuntime failed, or Close ran); any other
+// rank error is a bug.
+func (r *Runtime) serve(ep transport.Endpoint, built chan<- *RankServer) {
+	defer r.wg.Done()
+	srv, err := NewRankServer(ep, nil)
+	if err == nil {
+		defer srv.Close()
+		built <- srv
+		err = srv.Serve()
 	}
-	// The per-rank budget bounds both the local neighbor builds and the
-	// scratch's chunked-graph evaluation (overriding Config.Workers, so a
-	// loaded model's global worker setting cannot oversubscribe the node
-	// with ranks x GOMAXPROCS pools).
-	rk.builder.Workers = workers
-	rk.scratch.Workers = workers
-	rk.builder.Skin = rt.skin
-	rk.seen = make([]bool, nr)
-	rk.planBits = make([]uint8, nr)
-	rk.fwdNeed = make([][]int32, nr)
-	rk.fwdArena = make([][]int32, nr)
-	rk.sendFwd = make([][]int32, nr)
-	rk.rowSendT = make([][]int32, nr)
-	rk.rowPlan = make([][]int32, nr)
-	rk.rowRecv = make([][]int32, nr)
-	return rk
+	if err != nil && !errors.Is(err, transport.ErrClosed) {
+		panic(err.Error())
+	}
+}
+
+// Close shuts the fleet down and joins every rank goroutine: each rank
+// acknowledges its shutdown frame and returns (goroutine ranks cannot die,
+// so no wait needs a deadline), then the transport closes. The runtime is
+// unusable afterwards.
+func (r *Runtime) Close() {
+	if r.closed {
+		return
+	}
+	r.closed = true
+	r.rr.broadcastShutdown()
+	r.wg.Wait()
+	r.rr.tr.Close()
+}
+
+// Stats returns the accumulated runtime statistics.
+func (r *Runtime) Stats() RuntimeStats { return r.rr.Stats() }
+
+// NumRanks returns the rank-grid size.
+func (r *Runtime) NumRanks() int { return r.rr.NumRanks() }
+
+// Grid returns the rank grid of the decomposition.
+func (r *Runtime) Grid() [3]int { return r.rr.Grid() }
+
+// PairWork reports the Verlet pairs evaluated per step, summed over ranks
+// (the workload term measurements normalize by).
+func (r *Runtime) PairWork() int { return r.rr.stats.PairWork }
+
+// Energy returns the potential energy of the last step.
+func (r *Runtime) Energy() float64 { return r.rr.Energy() }
+
+// EnergyForces implements md.Potential (fresh force buffer per call).
+func (r *Runtime) EnergyForces(sys *atoms.System) (float64, [][3]float64) {
+	forces := make([][3]float64, sys.NumAtoms())
+	e := r.EnergyForcesInto(sys, forces)
+	return e, forces
+}
+
+// EnergyForcesInto implements md.InPlacePotential: one decomposed force
+// evaluation into the caller's buffer. sys must be the system the runtime
+// was constructed with. Steady-state calls (no rebuild) allocate nothing.
+func (r *Runtime) EnergyForcesInto(sys *atoms.System, forces [][3]float64) float64 {
+	return r.EnergyForcesOverlap(sys, forces, nil)
+}
+
+// EnergyForcesOverlap implements md.PipelinedPotential: like
+// EnergyForcesInto, but ready (when non-nil) is invoked once per rank with
+// that rank's owned atoms, in ascending order, as soon as the rank's forces
+// land — while other ranks are still evaluating. Every atom is delivered
+// exactly once per call.
+func (r *Runtime) EnergyForcesOverlap(sys *atoms.System, forces [][3]float64, ready func(atoms []int32)) float64 {
+	e := r.rr.energyForces(sys, forces, ready)
+	if err := r.rr.Err(); err != nil {
+		panic(err.Error())
+	}
+	return e
 }
 
 // validateRuntime checks the decomposition invariants.
@@ -478,289 +277,9 @@ func validateRuntime(sys *atoms.System, opts RuntimeOptions) error {
 	return nil
 }
 
-// loop is the long-lived body of one rank's compute goroutine.
-func (rk *rank) loop(cmds chan rankCmd) {
-	defer rk.rt.wg.Done()
-	defer rk.builder.Close()
-	defer rk.scratch.Close()
-	for c := range cmds {
-		switch c {
-		case cmdRebuild:
-			rk.execRebuild()
-		case cmdSlots:
-			rk.execSlots()
-		case cmdPlan:
-			rk.execPlan()
-		case cmdEvalInterior:
-			rk.evalIntNs = rk.timeEval(0, rk.nInterior, &rk.intView)
-		case cmdEvalFrontier:
-			rk.evalFrontNs = rk.timeEval(rk.nInterior, rk.pairs.Len(), &rk.frontView)
-		case cmdEvalAll:
-			rk.evalIntNs = rk.timeEval(0, rk.nInterior, &rk.intView)
-			rk.evalFrontNs = rk.timeEval(rk.nInterior, rk.pairs.Len(), &rk.frontView)
-		case cmdReduceFrontier:
-			t := time.Now()
-			rk.execReduce(rk.redFrontier)
-			rk.reduceFrontNs = time.Since(t).Nanoseconds()
-		}
-		rk.rt.done <- struct{}{}
-	}
-}
-
-// commLoop is the long-lived body of one rank's comm goroutine — the
-// progress-thread stand-in serving the asynchronous ghost exchange and the
-// interior half of the split reduction (so it can overlap the compute
-// goroutine's frontier evaluation).
-func (rk *rank) commLoop(cmds chan rankCmd) {
-	defer rk.rt.wg.Done()
-	for c := range cmds {
-		switch c {
-		case cmdPack:
-			rk.execExchangeGhosts()
-		case cmdReduceInterior:
-			t := time.Now()
-			rk.execReduce(rk.redInterior)
-			rk.reduceIntNs = time.Since(t).Nanoseconds()
-		case cmdPlanExchange:
-			rk.execPlanExchange()
-		case cmdExchangeRows:
-			rk.execExchangeRows()
-		}
-		rk.rt.commDone <- struct{}{}
-	}
-}
-
-// send posts one phase command to every channel without waiting.
-func (r *Runtime) send(chs []chan rankCmd, c rankCmd) {
-	for _, ch := range chs {
-		ch <- c
-	}
-}
-
-// waitWorkers / waitComm collect one completion per rank; the channel
-// handshakes order all cross-rank reads and writes.
-func (r *Runtime) waitWorkers() {
-	for range r.ranks {
-		<-r.done
-	}
-}
-
-func (r *Runtime) waitComm() {
-	for range r.ranks {
-		<-r.commDone
-	}
-}
-
-// dispatch broadcasts one phase to every rank worker and waits.
-func (r *Runtime) dispatch(c rankCmd) {
-	r.send(r.cmds, c)
-	r.waitWorkers()
-}
-
-// dispatchComm broadcasts one phase to every comm goroutine and waits.
-func (r *Runtime) dispatchComm(c rankCmd) {
-	r.send(r.comm, c)
-	r.waitComm()
-}
-
-// Close shuts the rank workers down and releases their pools. The runtime
-// is unusable afterwards.
-func (r *Runtime) Close() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	for _, ch := range r.cmds {
-		close(ch)
-	}
-	for _, ch := range r.comm {
-		close(ch)
-	}
-	r.wg.Wait()
-	r.tr.Close()
-}
-
-// Stats returns the accumulated runtime statistics.
-func (r *Runtime) Stats() RuntimeStats { return r.stats }
-
-// NumRanks returns the rank-grid size.
-func (r *Runtime) NumRanks() int { return len(r.ranks) }
-
-// Grid returns the rank grid of the decomposition.
-func (r *Runtime) Grid() [3]int { return r.grid }
-
-// Overlapped reports whether the communication-hiding pipeline is enabled.
-func (r *Runtime) Overlapped() bool { return r.opts.Overlap }
-
-// PairWork reports the Verlet pairs evaluated per step, summed over ranks
-// (the workload term measurements normalize by).
-func (r *Runtime) PairWork() int { return r.stats.PairWork }
-
-// WorkersPerRank returns the resolved per-rank worker budget.
-func (r *Runtime) WorkersPerRank() int {
-	if r.opts.WorkersPerRank <= 0 {
-		return 1 // the runtime's default: parallelism comes from the ranks
-	}
-	return r.opts.WorkersPerRank
-}
-
-// Energy returns the potential energy of the last step.
-func (r *Runtime) Energy() float64 { return r.energy }
-
-// EnergyForcesInto implements md.InPlacePotential: one decomposed force
-// evaluation into the caller's buffer. sys must be the system the runtime
-// was constructed with. Steady-state calls (no rebuild) allocate nothing.
-func (r *Runtime) EnergyForcesInto(sys *atoms.System, forces [][3]float64) float64 {
-	return r.EnergyForcesOverlap(sys, forces, nil)
-}
-
-// EnergyForcesOverlap implements md.PipelinedPotential: like
-// EnergyForcesInto, but ready (when non-nil) is invoked with batches of
-// atom indices as soon as their forces are final — interior atoms while the
-// reverse ghost-force reduction of frontier atoms is still in flight, the
-// frontier batch before returning. Every atom is delivered exactly once per
-// call. The batches and their contents are identical with Overlap on or
-// off; only the schedule differs.
-func (r *Runtime) EnergyForcesOverlap(sys *atoms.System, forces [][3]float64, ready func(atoms []int32)) float64 {
-	if sys != r.sys {
-		panic("domain: Runtime is bound to the system it was constructed with")
-	}
-	if len(forces) != r.n {
-		panic("domain: force buffer length mismatch")
-	}
-	r.wrap()
-	r.stepTick++
-	if r.needRebuild() {
-		r.rebuild()
-	}
-	r.forces = forces
-	r.parity ^= 1
-	if r.opts.Overlap {
-		r.stepOverlap(ready)
-	} else {
-		r.stepSync(ready)
-	}
-	r.forces = nil
-	r.stats.Steps++
-	r.checkFailure()
-	return r.energy
-}
-
-// stepOverlap is the communication-hiding schedule: post the forward
-// exchange, hide it behind the interior block, overlap the interior
-// reduction with the frontier block, and overlap the frontier (reverse
-// ghost-force) reduction with the caller's integration of interior atoms
-// and the canonical energy sum.
-func (r *Runtime) stepOverlap(ready func([]int32)) {
-	st := &r.stats
-	r.postTime = time.Now()
-	r.send(r.comm, cmdPack) // forward exchange posted asynchronously
-
-	r.send(r.cmds, cmdEvalInterior) // interior block hides the exchange
-	r.waitWorkers()
-
-	t := time.Now()
-	r.waitComm() // exposed exchange wait: whatever the interior didn't hide
-	st.ExchangeWaitNs += time.Since(t).Nanoseconds()
-
-	r.send(r.cmds, cmdEvalFrontier)   // frontier block on arrived ghosts
-	r.send(r.comm, cmdReduceInterior) // overlapped: interior rows are final
-	r.waitComm()                      // interior forces final
-	r.waitWorkers()                   // frontier rows in their slots
-
-	if len(r.ranks) > 1 {
-		// Reverse exchange: cross-rank frontier rows settle into their
-		// canonical slots before the frontier reduction reads them.
-		r.dispatchComm(cmdExchangeRows)
-	}
-
-	r.send(r.cmds, cmdReduceFrontier) // reverse ghost-force reduction...
-	if ready != nil {
-		ready(r.readyInterior) // ...overlapped with interior integration
-	}
-	e := r.reduceEnergy() // ...and with the canonical energy sum
-	r.waitWorkers()
-	r.collectPhaseTimers()
-	if ready != nil {
-		ready(r.readyFrontier)
-	}
-	r.energy = e
-}
-
-// stepSync runs the identical phase arithmetic bulk-synchronously: the
-// forward exchange completes before any evaluation starts (the whole
-// exchange wall is exposed), then one fused evaluation dispatch runs both
-// blocks, then both reductions run (concurrently per rank across the
-// worker/comm goroutines — reduction is still strictly after all
-// evaluation, the BSP shape). Three barriers per step, matching the
-// pre-pipeline runtime plus the explicit exchange phase.
-func (r *Runtime) stepSync(ready func([]int32)) {
-	st := &r.stats
-	r.postTime = time.Now()
-	t := r.postTime
-	r.dispatchComm(cmdPack)
-	st.ExchangeWaitNs += time.Since(t).Nanoseconds()
-
-	r.dispatch(cmdEvalAll)
-
-	if len(r.ranks) > 1 {
-		r.dispatchComm(cmdExchangeRows)
-	}
-
-	r.send(r.cmds, cmdReduceFrontier)
-	r.send(r.comm, cmdReduceInterior)
-	r.waitWorkers()
-	r.waitComm()
-	r.collectPhaseTimers()
-
-	r.energy = r.reduceEnergy()
-	if ready != nil {
-		ready(r.readyInterior)
-		ready(r.readyFrontier)
-	}
-}
-
-// collectPhaseTimers aggregates the ranks' per-step self-timed phase walls
-// (valid once every phase of the step has passed its barrier): the slowest
-// rank defines each phase, so the numbers are comparable between the
-// overlapped and bulk-synchronous schedules.
-func (r *Runtime) collectPhaseTimers() {
-	var pack, evalInt, evalFront, reduce int64
-	for _, rk := range r.ranks {
-		if rk.packNs > pack {
-			pack = rk.packNs
-		}
-		if rk.evalIntNs > evalInt {
-			evalInt = rk.evalIntNs
-		}
-		if rk.evalFrontNs > evalFront {
-			evalFront = rk.evalFrontNs
-		}
-		if red := rk.reduceIntNs + rk.reduceFrontNs; red > reduce {
-			reduce = red
-		}
-	}
-	st := &r.stats
-	st.CommWallNs += pack
-	st.InteriorNs += evalInt
-	st.FrontierNs += evalFront
-	st.ReduceNs += reduce
-}
-
-// EnergyForces implements md.Potential (fresh force buffer per call).
-func (r *Runtime) EnergyForces(sys *atoms.System) (float64, [][3]float64) {
-	forces := make([][3]float64, r.n)
-	e := r.EnergyForcesInto(sys, forces)
-	return e, forces
-}
-
-// wrap refreshes the wrapped positions (same arithmetic as the neighbor
-// builder's PBC binning, so admission decisions are grid-independent).
-func (r *Runtime) wrap() { wrapPositions(r.pw, r.sys.Pos, r.sys.Cell) }
-
-// wrapPositions writes the wrapped image of every position into dst — the
-// one PBC formula shared by the in-process master and the remote driver, so
-// both derive identical bits.
+// wrapPositions writes the wrapped image of every position into dst (same
+// arithmetic as the neighbor builder's PBC binning, so admission decisions
+// are grid-independent).
 func wrapPositions(dst, pos [][3]float64, cell [3]float64) {
 	for i, p := range pos {
 		for k := 0; k < 3; k++ {
@@ -770,20 +289,10 @@ func wrapPositions(dst, pos [][3]float64, cell [3]float64) {
 	}
 }
 
-// needRebuild fires the Verlet trigger: any atom displaced skin/2 since the
-// last rebuild invalidates the lists. The criterion is global, so the
-// rebuild schedule — and with it every admitted pair — is identical on
-// every rank grid.
-func (r *Runtime) needRebuild() bool {
-	if !r.started {
-		return true
-	}
-	return skinTriggered(r.skin, r.sys.Pos, r.refPos)
-}
-
-// skinTriggered reports whether any atom moved skin/2 since the reference
-// positions were captured (skin <= 0 always triggers) — the Verlet rebuild
-// criterion shared with the remote driver.
+// skinTriggered fires the Verlet trigger: any atom displaced skin/2 since
+// the reference positions were captured (skin <= 0 always triggers)
+// invalidates the lists. The criterion is global, so the rebuild schedule —
+// and with it every admitted pair — is identical on every rank grid.
 func skinTriggered(skin float64, pos, ref [][3]float64) bool {
 	if skin <= 0 {
 		return true
@@ -800,11 +309,7 @@ func skinTriggered(skin float64, pos, ref [][3]float64) bool {
 	return false
 }
 
-// rankOf maps a wrapped position to its owning rank.
-func (r *Runtime) rankOf(p [3]float64) int { return rankOfCell(r.grid, r.sub, p) }
-
-// rankOfCell is the ownership rule as a standalone function (shared with
-// the remote driver's classification).
+// rankOfCell maps a wrapped position to its owning rank.
 func rankOfCell(grid [3]int, sub [3]float64, p [3]float64) int {
 	var c [3]int
 	for k := 0; k < 3; k++ {
@@ -819,149 +324,152 @@ func rankOfCell(grid [3]int, sub [3]float64, p [3]float64) int {
 	return (c[0]*grid[1]+c[1])*grid[2] + c[2]
 }
 
-// rebuild re-derives ownership (incremental migration: assignments change
-// only here, when atoms have crossed subdomain boundaries), ghost imports,
-// rank-local Verlet lists with their interior/frontier partition, the
-// canonical slot layout, the reduction adjacency, and the split reduction
-// plan. Rebuild steps may allocate (lists and arenas re-warm); steady
-// steps do not.
-func (r *Runtime) rebuild() {
-	r.stats.Rebuilds++
-	mig := 0
-	for i := 0; i < r.n; i++ {
-		o := int32(r.rankOf(r.pw[i]))
-		if r.started && o != r.owner[i] {
-			mig++
-		}
-		r.owner[i] = o
-	}
-	if r.started {
-		r.stats.Migrations += mig
-	}
-	copy(r.refPos, r.sys.Pos)
-	for i := range r.pairCnt {
-		r.pairCnt[i] = 0
-	}
+// host is the global state one rank's phases read and write: the system's
+// constants, the driver-broadcast ownership and wrapped positions, the
+// canonical slot layout, and slot-indexed row and pair-energy buffers. Only
+// RankServer builds one; its arrays are filled from the driver's frames.
+type host struct {
+	model   *core.Model
+	species []units.Species
+	cell    [3]float64
+	halo    float64 // ghost-import distance before the skin is added
+	skin    float64
+	nr      int // grid ranks
 
-	r.dispatch(cmdRebuild)
+	n     int
+	pw    [][3]float64 // wrapped positions: every atom at a rebuild, owned atoms each step
+	owner []int32      // owning rank per atom, frozen between rebuilds
 
-	// Canonical slot layout: ascending global center, each center's block
-	// in the owning rank's sorted order.
-	total := int32(0)
-	r.pairStart[0] = 0
-	for i := 0; i < r.n; i++ {
-		total += r.pairCnt[i]
-		r.pairStart[i+1] = total
-	}
-	r.nPairs = int(total)
-	if cap(r.pairGI) < r.nPairs {
-		r.pairGI = make([]int32, r.nPairs)
-		r.pairGJ = make([]int32, r.nPairs)
-		r.rows = make([][3]float64, r.nPairs)
-		r.pairE = make([]float64, r.nPairs)
-	}
-	r.pairGI = r.pairGI[:r.nPairs]
-	r.pairGJ = r.pairGJ[:r.nPairs]
-	r.rows = r.rows[:r.nPairs]
-	r.pairE = r.pairE[:r.nPairs]
-	if cap(r.interiorSlot) < r.nPairs {
-		r.interiorSlot = make([]bool, r.nPairs)
-	}
-	r.interiorSlot = r.interiorSlot[:r.nPairs]
+	pairCnt   []int32      // per-atom pair count (rebuild scratch)
+	pairStart []int32      // slot prefix per atom, len n+1
+	rows      [][3]float64 // force row per slot: this rank's pairs and the rows peers push here
+	pairE     []float64    // pair energy per slot (this rank's pairs)
+	adj       []int32      // per owned atom, signed slot refs: slot<<1 | isNeighborSide
+	adjPtr    []int32      // len n+1
+	forces    [][3]float64 // reduced forces of owned atoms
 
-	r.dispatch(cmdSlots)
-	r.buildAdjacency()
-	r.classifyAtoms()
-	r.dispatch(cmdPlan)
-	// Exchange-plan swap: every rank tells its peers which atoms to
-	// forward and which row slots to expect (no-op on a 1-rank grid).
-	r.rebuildTick++
-	r.dispatchComm(cmdPlanExchange)
-	r.checkFailure()
+	parity int // double-buffer half the current step's exchange fills
 
-	st := &r.stats
-	st.PairWork = r.nPairs
-	st.InteriorPairs = 0
-	st.MaxOwned, st.MaxGhosts, st.TotalGhost = 0, 0, 0
-	st.ForwardBytesPerStep, st.ReverseBytesPerStep = 0, 0
-	for _, rk := range r.ranks {
-		if rk.nOwned > st.MaxOwned {
-			st.MaxOwned = rk.nOwned
-		}
-		if rk.nGhosts > st.MaxGhosts {
-			st.MaxGhosts = rk.nGhosts
-		}
-		st.InteriorPairs += rk.nInterior
-		st.TotalGhost += rk.nGhosts
-		st.ForwardBytesPerStep += rk.nGhosts * 24       // 3 float64 per ghost position
-		st.ReverseBytesPerStep += rk.ghostRowCount * 24 // 3 float64 per ghost force row
-	}
-	r.started = true
+	// stepTick/rebuildTick tag frames so receivers can discard duplicates
+	// and stale deliveries; deadRank records peers whose death the rank's
+	// phases observed.
+	stepTick    uint64
+	rebuildTick uint64
+	deadRank    []bool
+	started     bool // valid plans: a rebuild completed since the last abort
 }
 
-// buildAdjacency precomputes, per atom, the slots contributing to its force
-// in ascending slot order: +row where the atom is the center, -row where it
-// is the neighbor — exactly the serial accumulation order, split per atom.
-func (r *Runtime) buildAdjacency() {
-	need := 2 * r.nPairs
-	if cap(r.adj) < need {
-		r.adj = make([]int32, need)
-	}
-	r.adj = r.adj[:need]
-	cnt := r.adjFill
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for z := 0; z < r.nPairs; z++ {
-		cnt[r.pairGI[z]]++
-		cnt[r.pairGJ[z]]++
-	}
-	r.adjPtr[0] = 0
-	for i := 0; i < r.n; i++ {
-		r.adjPtr[i+1] = r.adjPtr[i] + cnt[i]
-	}
-	copy(cnt, r.adjPtr[:r.n]) // running write offsets
-	for z := 0; z < r.nPairs; z++ {
-		gi, gj := r.pairGI[z], r.pairGJ[z]
-		r.adj[cnt[gi]] = int32(z) << 1
-		cnt[gi]++
-		r.adj[cnt[gj]] = int32(z)<<1 | 1
-		cnt[gj]++
-	}
+// rank is the persistent state of one subdomain worker.
+type rank struct {
+	h      *host
+	id     int
+	lo, hi [3]float64
+
+	nOwned int
+	gOf    []int32       // local index -> global atom (owned first, then ghosts)
+	shift  [][3]float64  // local index -> periodic image offset (owned: zero)
+	code   []uint8       // local index -> image code in [0,27) (owned: 13)
+	local  *atoms.System // local species + build-time positions
+
+	builder  neighbor.Builder
+	pairs    neighbor.Pairs
+	slotOf   []int32
+	scratch  *core.EvalScratch
+	rowsBuf  [][3]float64
+	pairEBuf []float64
+
+	// Interior/frontier partition of the canonical local pair list: pairs
+	// [0, nInterior) form the interior block, the rest the frontier block.
+	// The views alias rk.pairs and are refreshed at rebuilds.
+	nInterior          int
+	intView, frontView neighbor.Pairs
+
+	// Double-buffered ghost-position arena: ghost[h.parity] is the staging
+	// buffer the current step's forward exchange fills (see the ownership
+	// contract in the README); ghost local index t reads ghost[parity][t-nOwned].
+	ghost [2][][3]float64
+
+	// Canonical-sort scratch (rebuild only).
+	perm                   []int
+	tmpI, tmpJ             []int
+	tmpVec                 [][3]float64
+	tmpDist, tmpCut        []float64
+	nGhosts, ghostRowCount int
+
+	// Transport attachment and rebuild-derived exchange plans (see
+	// exchange.go). sendF/recvF are this rank's reusable staging frames;
+	// the per-peer plan slices are indexed by rank id and reused across
+	// rebuilds, so the steady-state framed exchange allocates nothing.
+	ep           transport.Endpoint
+	sendF, recvF transport.Frame
+	seen         []bool  // per-phase receive bookkeeping, indexed by rank
+	planBits     []uint8 // plan-exchange receipt mask per peer (bit 0 fwd, bit 1 row)
+	// stash parks frames that arrive during a phase that does not consume
+	// them: ranks share no barrier, so a fast peer's rows can land while
+	// this rank still waits for another peer's ghosts, and a peer's ghosts
+	// can land before the driver's positions. Consumed frames return to
+	// free, so a steady step allocates nothing.
+	stash, free []*transport.Frame
+
+	// Forward (ghost-position) plans. Self-owned images bypass the
+	// transport: selfGhostIdx/selfGhostAtom list arena slots whose owner is
+	// this rank. fwdNeed[s]/fwdArena[s] are the global atoms this rank
+	// imports from s and their arena destinations (sent to s as the
+	// receiver-driven KindFwdPlan); sendFwd[d] is the pack order peer d
+	// asked this rank for.
+	selfGhostIdx  []int32
+	selfGhostAtom []int32
+	fwdNeed       [][]int32
+	fwdArena      [][]int32
+	sendFwd       [][]int32
+
+	// Reverse (force-row) plans. rowSendT[d] lists this rank's local pair
+	// indices whose ghost neighbor is owned by d, ascending; rowPlan[d] is
+	// the matching interleaved (slot, atom) wire plan sent to d as
+	// KindRowPlan; rowRecv[s] is the interleaved plan received from s,
+	// scattered as rows arrive.
+	rowSendT [][]int32
+	rowPlan  [][]int32
+	rowRecv  [][]int32
+
+	// commErr latches this rank's first transport failure of the current
+	// phase; the rank server NACKs the driver with it.
+	commErr error
 }
 
-// classifyAtoms derives the split reduction plan: an atom's force is final
-// after the interior rows iff every slot in its adjacency belongs to an
-// interior center — no frontier row, from any rank, touches it. The ready
-// lists keep ascending atom order, so a pipelined integrator visits atoms
-// deterministically.
-func (r *Runtime) classifyAtoms() {
-	r.readyInterior = r.readyInterior[:0]
-	r.readyFrontier = r.readyFrontier[:0]
-	for a := 0; a < r.n; a++ {
-		interior := true
-		for _, e := range r.adj[r.adjPtr[a]:r.adjPtr[a+1]] {
-			if !r.interiorSlot[e>>1] {
-				interior = false
-				break
-			}
-		}
-		r.atomInterior[a] = interior
-		if interior {
-			r.readyInterior = append(r.readyInterior, int32(a))
-		} else {
-			r.readyFrontier = append(r.readyFrontier, int32(a))
-		}
-	}
-}
+// centerCode is the image code of an atom's own (unshifted) copy.
+const centerCode = 13
 
-// reduceEnergy is core.ReduceRows' energy ladder over the global slots:
-// pair energies in canonical slot order, then per-species shifts in atom
-// order, then the final-stage precision — identical on every rank grid, and
-// the same call the remote driver makes over the pair energies gathered
-// from its rank processes.
-func (r *Runtime) reduceEnergy() float64 {
-	return core.ReduceRows(r.model, r.sys.Species, nil, nil, r.pairE, nil)
+// newRank builds the persistent state of rank id of a grid with subdomain
+// widths sub: its bounds, evaluation scratch, neighbor builder and per-peer
+// plan slices, attached to the transport endpoint ep.
+func newRank(h *host, id int, ep transport.Endpoint, grid [3]int, sub [3]float64, workers int) *rank {
+	if workers <= 0 {
+		workers = 1 // parallelism comes from the ranks
+	}
+	nr := h.nr
+	coord := [3]int{id / (grid[1] * grid[2]), (id / grid[2]) % grid[1], id % grid[2]}
+	rk := &rank{h: h, id: id, ep: ep, scratch: core.NewEvalScratch(), local: atoms.NewSystem(0)}
+	for k := 0; k < 3; k++ {
+		rk.lo[k] = float64(coord[k]) * sub[k]
+		rk.hi[k] = rk.lo[k] + sub[k]
+	}
+	// The per-rank budget bounds both the local neighbor builds and the
+	// scratch's chunked-graph evaluation (overriding Config.Workers, so a
+	// loaded model's global worker setting cannot oversubscribe the node
+	// with ranks x GOMAXPROCS pools).
+	rk.builder.Workers = workers
+	rk.scratch.Workers = workers
+	rk.builder.Skin = h.skin
+	rk.seen = make([]bool, nr)
+	rk.planBits = make([]uint8, nr)
+	rk.fwdNeed = make([][]int32, nr)
+	rk.fwdArena = make([][]int32, nr)
+	rk.sendFwd = make([][]int32, nr)
+	rk.rowSendT = make([][]int32, nr)
+	rk.rowPlan = make([][]int32, nr)
+	rk.rowRecv = make([][]int32, nr)
+	return rk
 }
 
 // --- rank phases ---
@@ -969,12 +477,12 @@ func (r *Runtime) reduceEnergy() float64 {
 // execRebuild re-derives this rank's membership, Verlet list, partition,
 // and staging arenas.
 func (rk *rank) execRebuild() {
-	rt := rk.rt
+	h := rk.h
 	rk.gOf = rk.gOf[:0]
 	rk.shift = rk.shift[:0]
 	rk.code = rk.code[:0]
-	for i := 0; i < rt.n; i++ {
-		if rt.owner[i] == int32(rk.id) {
+	for i := 0; i < h.n; i++ {
+		if h.owner[i] == int32(rk.id) {
 			rk.gOf = append(rk.gOf, int32(i))
 			rk.shift = append(rk.shift, [3]float64{})
 			rk.code = append(rk.code, centerCode)
@@ -986,14 +494,14 @@ func (rk *rank) execRebuild() {
 	// the subdomain, in deterministic (atom, image) order. Shift vectors
 	// are exact multiples of the cell, so a ghost position equals the
 	// owner's wrapped position plus its shift on every grid.
-	haloTot := rt.halo + rt.skin
-	cell := rt.sys.Cell
-	for j := 0; j < rt.n; j++ {
-		p := rt.pw[j]
+	haloTot := h.halo + h.skin
+	cell := h.cell
+	for j := 0; j < h.n; j++ {
+		p := h.pw[j]
 		for sx := -1; sx <= 1; sx++ {
 			for sy := -1; sy <= 1; sy++ {
 				for sz := -1; sz <= 1; sz++ {
-					if rt.owner[j] == int32(rk.id) && sx == 0 && sy == 0 && sz == 0 {
+					if h.owner[j] == int32(rk.id) && sx == 0 && sy == 0 && sz == 0 {
 						continue // the owned copy itself
 					}
 					sh := [3]float64{float64(sx) * cell[0], float64(sy) * cell[1], float64(sz) * cell[2]}
@@ -1033,16 +541,16 @@ func (rk *rank) execRebuild() {
 	rk.local.Pos = rk.local.Pos[:nLoc]
 	rk.local.Species = rk.local.Species[:nLoc]
 	for t, g := range rk.gOf {
-		rk.local.Species[t] = rt.sys.Species[g]
+		rk.local.Species[t] = h.species[g]
 		sh := rk.shift[t]
-		pw := rt.pw[g]
+		pw := h.pw[g]
 		rk.local.Pos[t] = [3]float64{pw[0] + sh[0], pw[1] + sh[1], pw[2] + sh[2]}
 	}
 	rk.local.PBC = false
 
 	if rk.nOwned > 0 {
 		rk.builder.CenterLimit = rk.nOwned
-		rk.builder.BuildInto(&rk.pairs, rk.local, rt.model.Cuts)
+		rk.builder.BuildInto(&rk.pairs, rk.local, h.model.Cuts)
 		rk.canonicalize()
 		rk.nInterior = rk.builder.PartitionInterior(&rk.pairs)
 	} else {
@@ -1060,7 +568,7 @@ func (rk *rank) execRebuild() {
 	rk.ghostRowCount = 0
 	p := &rk.pairs
 	for t := 0; t < p.Len(); t++ {
-		rt.pairCnt[rk.gOf[p.I[t]]]++
+		h.pairCnt[rk.gOf[p.I[t]]]++
 		if p.J[t] >= rk.nOwned {
 			rk.ghostRowCount++
 		}
@@ -1125,75 +633,45 @@ func (rk *rank) canonicalize() {
 	}
 }
 
-// execSlots assigns global slots and marks interior ones. A rank's pairs
-// are grouped by contiguous center blocks (canonical within each class),
-// so each center's block lands contiguously at the center's canonical
-// offset; the partition moved whole blocks, never split one.
+// execSlots assigns every local pair its global slot. A rank's pairs are
+// grouped by contiguous center blocks (canonical within each class), so
+// each center's block lands contiguously at the center's canonical offset;
+// the partition moved whole blocks, never split one.
 func (rk *rank) execSlots() {
-	rt := rk.rt
 	p := &rk.pairs
 	z := p.Len()
 	for t := 0; t < z; {
 		center := p.I[t]
-		gi := rk.gOf[center]
-		slot := rt.pairStart[gi]
+		slot := rk.h.pairStart[rk.gOf[center]]
 		for ; t < z && p.I[t] == center; t++ {
 			rk.slotOf[t] = slot
-			rt.pairGI[slot] = gi
-			rt.pairGJ[slot] = rk.gOf[p.J[t]]
-			rt.interiorSlot[slot] = t < rk.nInterior
 			slot++
 		}
 	}
 }
 
-// execPlan splits this rank's owned atoms by the master's classification:
-// forces of redInterior atoms are final after the interior rows, the rest
-// wait for the frontier (reverse ghost-force) rows.
-func (rk *rank) execPlan() {
-	rt := rk.rt
-	rk.redInterior = rk.redInterior[:0]
-	rk.redFrontier = rk.redFrontier[:0]
-	for t := 0; t < rk.nOwned; t++ {
-		if rt.atomInterior[rk.gOf[t]] {
-			rk.redInterior = append(rk.redInterior, int32(t))
-		} else {
-			rk.redFrontier = append(rk.redFrontier, int32(t))
-		}
-	}
-}
-
-// timeEval runs execEval under the rank's phase self-timer; empty blocks
-// report zero.
-func (rk *rank) timeEval(lo, hi int, view *neighbor.Pairs) int64 {
+// evalBlock evaluates one block of this rank's pair list and returns the
+// time it took (zero for an empty block): refresh the block's pair vectors
+// from current positions with the one minimum-image formula used on all
+// grids — interior blocks read owned positions only; frontier blocks read
+// ghost neighbors from the staged arena the forward exchange filled —
+// evaluate the block's rows, and scatter them to their canonical slots.
+func (rk *rank) evalBlock(lo, hi int, view *neighbor.Pairs) int64 {
 	if hi <= lo {
 		return 0
 	}
-	t := time.Now()
-	rk.execEval(lo, hi, view)
-	return time.Since(t).Nanoseconds()
-}
-
-// execEval evaluates one block of this rank's pair list: refresh the
-// block's pair vectors from current positions with the one minimum-image
-// formula used on all grids — interior blocks read owned positions only;
-// frontier blocks read ghost neighbors from the staged arena the forward
-// exchange filled — evaluate the block's rows, and scatter them to their
-// canonical slots.
-func (rk *rank) execEval(lo, hi int, view *neighbor.Pairs) {
-	if hi <= lo {
-		return
-	}
-	rt := rk.rt
+	start := time.Now()
+	h := rk.h
 	for t := lo; t < hi; t++ {
 		rk.refreshPair(t)
 	}
-	rt.model.EvaluateRowsInto(rk.scratch, rk.local, view, rk.rowsBuf[lo:hi], rk.pairEBuf[lo:hi])
+	h.model.EvaluateRowsInto(rk.scratch, rk.local, view, rk.rowsBuf[lo:hi], rk.pairEBuf[lo:hi])
 	for t := lo; t < hi; t++ {
 		s := rk.slotOf[t]
-		rt.rows[s] = rk.rowsBuf[t]
-		rt.pairE[s] = rk.pairEBuf[t]
+		h.rows[s] = rk.rowsBuf[t]
+		h.pairE[s] = rk.pairEBuf[t]
 	}
+	return time.Since(start).Nanoseconds()
 }
 
 // refreshPair recomputes one listed pair's displacement vector and distance
@@ -1201,15 +679,15 @@ func (rk *rank) execEval(lo, hi int, view *neighbor.Pairs) {
 // grids (ghost neighbors read the staged arena, bitwise the owner's
 // position plus a frozen shift).
 func (rk *rank) refreshPair(t int) {
-	rt := rk.rt
+	h := rk.h
 	p := &rk.pairs
-	cell := rt.sys.Cell
-	pi := rt.pw[rk.gOf[p.I[t]]]
+	cell := h.cell
+	pi := h.pw[rk.gOf[p.I[t]]]
 	var pj [3]float64
 	if j := p.J[t]; j >= rk.nOwned {
-		pj = rk.ghost[rt.parity][j-rk.nOwned] // staged ghost, bitwise the owner's position
+		pj = rk.ghost[h.parity][j-rk.nOwned] // staged ghost, bitwise the owner's position
 	} else {
-		pj = rt.pw[rk.gOf[j]]
+		pj = h.pw[rk.gOf[j]]
 	}
 	var d [3]float64
 	for k := 0; k < 3; k++ {
@@ -1221,16 +699,15 @@ func (rk *rank) refreshPair(t int) {
 	p.Dist[t] = math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
 }
 
-// execReduce computes the listed owned atoms' forces from the global rows
-// in ascending slot order — bitwise the serial accumulation, partitioned by
-// ownership and by interior/frontier readiness.
-func (rk *rank) execReduce(which []int32) {
-	rt := rk.rt
-	for _, t := range which {
-		a := rk.gOf[t]
+// execReduce computes every owned atom's force from the slot rows in
+// ascending slot order — bitwise the serial accumulation, partitioned by
+// ownership.
+func (rk *rank) execReduce() {
+	h := rk.h
+	for _, a := range rk.gOf[:rk.nOwned] {
 		var f [3]float64
-		for _, e := range rt.adj[rt.adjPtr[a]:rt.adjPtr[a+1]] {
-			row := &rt.rows[e>>1]
+		for _, e := range h.adj[h.adjPtr[a]:h.adjPtr[a+1]] {
+			row := &h.rows[e>>1]
 			if e&1 == 0 {
 				f[0] += row[0]
 				f[1] += row[1]
@@ -1241,6 +718,6 @@ func (rk *rank) execReduce(which []int32) {
 				f[2] -= row[2]
 			}
 		}
-		rt.forces[a] = f
+		h.forces[a] = f
 	}
 }

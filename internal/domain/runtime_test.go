@@ -42,14 +42,7 @@ func TestRuntimeTrajectoryBitwiseAcrossGridsAndSkins(t *testing.T) {
 		{Grid: [3]int{2, 1, 1}, Skin: 0.25},                   // split + different skin
 		{Grid: [3]int{2, 2, 2}, Skin: 0.5},                    // full 8-rank grid
 		{Grid: [3]int{2, 2, 2}, Skin: 0.5, WorkersPerRank: 2}, // chunked eval inside ranks
-		// The communication-hiding pipeline must not change a single bit:
-		// same variants with the overlapped schedule.
-		{Grid: [3]int{1, 1, 1}, Skin: 0.5, Overlap: true},
-		{Grid: [3]int{2, 1, 1}, Skin: 0.5, Overlap: true},
-		{Grid: [3]int{2, 1, 1}, Skin: 0.25, Overlap: true},
-		{Grid: [3]int{2, 2, 2}, Skin: 0.5, Overlap: true},
-		{Grid: [3]int{2, 2, 2}, Skin: 0.5, WorkersPerRank: 2, Overlap: true},
-		{Grid: [3]int{2, 2, 2}, Skin: 0, Overlap: true}, // overlap + rebuild every step
+		{Grid: [3]int{2, 2, 2}, Skin: 0},                      // 8 ranks, rebuild every step
 	}
 	for _, opts := range variants {
 		sim := runTrajectory(t, opts, steps, temp)
@@ -227,16 +220,23 @@ func TestRuntimeEmptyRank(t *testing.T) {
 	}
 }
 
-// validatePartition checks the interior/frontier split of every rank
-// against the canonical slot layout: the two blocks are disjoint, cover the
-// rank's whole canonical pair list, map onto the global slot space exactly
-// once (no duplicates, no drops), interior pairs reference no ghost data,
-// and every frontier center has at least one ghost neighbor. It also checks
-// the split reduction plan covers every owned atom exactly once.
+// validatePartition checks the interior/frontier split of every rank server
+// the runtime holds against the canonical slot layout: the two blocks are
+// disjoint, cover the rank's whole canonical pair list, map onto the global
+// slot space exactly once (no duplicates, no drops), interior pairs
+// reference no ghost data, and every frontier center has at least one
+// ghost neighbor. It also checks that every atom is owned — so reduced —
+// by exactly one rank, and that the ranks' reduction adjacencies reference
+// every slot exactly once from its center and once from its neighbor.
 func validatePartition(t *testing.T, rt *Runtime) {
 	t.Helper()
-	slotSeen := make([]int, rt.nPairs)
-	for _, rk := range rt.ranks {
+	n := rt.rr.n
+	nPairs := int(rt.rr.pairStart[n])
+	slotSeen := make([]int, nPairs)
+	refSeen := make([]int, 2*nPairs) // indexed by signed slot ref: slot<<1 | isNeighborSide
+	ownedBy := make([]int, n)
+	for _, srv := range rt.servers {
+		rk, h := srv.rk, srv.h
 		p := &rk.pairs
 		if rk.nInterior < 0 || rk.nInterior > p.Len() {
 			t.Fatalf("rank %d: nInterior %d out of range [0,%d]", rk.id, rk.nInterior, p.Len())
@@ -247,15 +247,8 @@ func validatePartition(t *testing.T, rt *Runtime) {
 		}
 		for z := 0; z < p.Len(); z++ {
 			slotSeen[rk.slotOf[z]]++
-			if z < rk.nInterior {
-				if p.J[z] >= rk.nOwned {
-					t.Fatalf("rank %d: interior pair %d references ghost neighbor", rk.id, z)
-				}
-				if rt.interiorSlot[rk.slotOf[z]] != true {
-					t.Fatalf("rank %d: interior pair %d not marked in the slot classification", rk.id, z)
-				}
-			} else if rt.interiorSlot[rk.slotOf[z]] {
-				t.Fatalf("rank %d: frontier pair %d marked interior in the slot classification", rk.id, z)
+			if z < rk.nInterior && p.J[z] >= rk.nOwned {
+				t.Fatalf("rank %d: interior pair %d references ghost neighbor", rk.id, z)
 			}
 		}
 		// Every frontier center block must touch at least one ghost.
@@ -275,10 +268,11 @@ func validatePartition(t *testing.T, rt *Runtime) {
 			}
 			blo = bhi
 		}
-		// Split reduction plan: owned atoms covered exactly once.
-		if len(rk.redInterior)+len(rk.redFrontier) != rk.nOwned {
-			t.Fatalf("rank %d: reduction plan covers %d+%d atoms, owns %d",
-				rk.id, len(rk.redInterior), len(rk.redFrontier), rk.nOwned)
+		for _, a := range rk.gOf[:rk.nOwned] {
+			ownedBy[a]++
+			for _, e := range h.adj[h.adjPtr[a]:h.adjPtr[a+1]] {
+				refSeen[e]++
+			}
 		}
 	}
 	for s, c := range slotSeen {
@@ -286,27 +280,32 @@ func validatePartition(t *testing.T, rt *Runtime) {
 			t.Fatalf("slot %d assigned %d times (interior+frontier must cover the canonical list exactly)", s, c)
 		}
 	}
-	// Ready lists partition the atom set.
-	if len(rt.readyInterior)+len(rt.readyFrontier) != rt.n {
-		t.Fatalf("ready lists cover %d+%d atoms of %d",
-			len(rt.readyInterior), len(rt.readyFrontier), rt.n)
+	for a, c := range ownedBy {
+		if c != 1 {
+			t.Fatalf("atom %d owned and reduced by %d ranks", a, c)
+		}
+	}
+	for e, c := range refSeen {
+		if c != 1 {
+			t.Fatalf("slot %d side %d referenced %d times by the reduction adjacencies", e>>1, e&1, c)
+		}
 	}
 }
 
-// TestRuntimePartitionProperty is the partition property test of the
-// overlap pipeline: across rank grids, skins, and halo overrides — and
-// through boundary-crossing migrations on a hot trajectory — every rank's
-// interior and frontier blocks together are exactly its canonical pair
-// list, projected onto the global slot space with no duplicate and no drop.
+// TestRuntimePartitionProperty is the partition property test of the rank
+// step: across rank grids, skins, and halo overrides — and through
+// boundary-crossing migrations on a hot trajectory — every rank's interior
+// and frontier blocks together are exactly its canonical pair list,
+// projected onto the global slot space with no duplicate and no drop.
 func TestRuntimePartitionProperty(t *testing.T) {
 	m := tinyModel(t)
 	cases := []RuntimeOptions{
-		{Grid: [3]int{1, 1, 1}, Skin: 0.5, Overlap: true},
-		{Grid: [3]int{2, 1, 1}, Skin: 0.5, Overlap: true},
+		{Grid: [3]int{1, 1, 1}, Skin: 0.5},
+		{Grid: [3]int{2, 1, 1}, Skin: 0.5},
 		{Grid: [3]int{2, 1, 1}, Skin: 0.25},
-		{Grid: [3]int{2, 2, 2}, Skin: 0.5, Overlap: true},
-		{Grid: [3]int{2, 1, 1}, Skin: 0.5, Halo: 2.0, Overlap: true}, // halo override (under-import ablation)
-		{Grid: [3]int{2, 2, 1}, Skin: 0.4, Halo: 3.5, Overlap: true}, // halo override above the cutoff
+		{Grid: [3]int{2, 2, 2}, Skin: 0.5},
+		{Grid: [3]int{2, 1, 1}, Skin: 0.5, Halo: 2.0}, // halo override (under-import ablation)
+		{Grid: [3]int{2, 2, 1}, Skin: 0.4, Halo: 3.5}, // halo override above the cutoff
 	}
 	for _, opts := range cases {
 		sys := data.WaterBox(rand.New(rand.NewPCG(91, 92)), 3, 3, 3)
@@ -327,60 +326,65 @@ func TestRuntimePartitionProperty(t *testing.T) {
 	}
 }
 
-// TestRuntimeOverlapProperties pins the pipeline bookkeeping: interior plus
-// frontier pair work matches the total, phase timers advance, the sync
-// schedule exposes (essentially all of) the exchange wall, and the ready
-// batches partition the atoms identically in both modes.
+// TestRuntimeOverlapProperties pins the step bookkeeping: interior plus
+// frontier pair work matches the total, phase timers advance, the overlap
+// fraction is a fraction, and the ready batches — one per rank, each that
+// rank's owned atoms in ascending order — cover every atom exactly once.
 func TestRuntimeOverlapProperties(t *testing.T) {
 	m := tinyModel(t)
-	for _, overlap := range []bool{false, true} {
-		sys := data.WaterBox(rand.New(rand.NewPCG(81, 82)), 3, 3, 3)
-		rt, err := NewRuntime(m, sys, RuntimeOptions{Grid: [3]int{2, 2, 1}, Skin: 0.5, Overlap: overlap})
-		if err != nil {
-			t.Fatal(err)
+	sys := data.WaterBox(rand.New(rand.NewPCG(81, 82)), 3, 3, 3)
+	rt, err := NewRuntime(m, sys, RuntimeOptions{Grid: [3]int{2, 2, 1}, Skin: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	forces := make([][3]float64, sys.NumAtoms())
+	var batches [][]int32
+	ready := func(atoms []int32) {
+		cp := make([]int32, len(atoms))
+		copy(cp, atoms)
+		batches = append(batches, cp)
+	}
+	for i := 0; i < 5; i++ {
+		batches = batches[:0]
+		rt.EnergyForcesOverlap(sys, forces, ready)
+		if len(batches) != rt.NumRanks() {
+			t.Fatalf("got %d ready batches, want one per rank (%d)", len(batches), rt.NumRanks())
 		}
-		forces := make([][3]float64, sys.NumAtoms())
-		var batches [][]int32
-		ready := func(atoms []int32) {
-			cp := make([]int32, len(atoms))
-			copy(cp, atoms)
-			batches = append(batches, cp)
-		}
-		for i := 0; i < 5; i++ {
-			batches = batches[:0]
-			rt.EnergyForcesOverlap(sys, forces, ready)
-			if len(batches) != 2 {
-				t.Fatalf("overlap=%v: got %d ready batches, want 2", overlap, len(batches))
+		seen := make([]int, sys.NumAtoms())
+		for _, b := range batches {
+			for k, a := range b {
+				if k > 0 && b[k-1] >= a {
+					t.Fatalf("ready batch not in ascending atom order: %v", b)
+				}
+				seen[a]++
 			}
-			if len(batches[0])+len(batches[1]) != sys.NumAtoms() {
-				t.Fatalf("overlap=%v: batches deliver %d+%d atoms of %d",
-					overlap, len(batches[0]), len(batches[1]), sys.NumAtoms())
+		}
+		for a, c := range seen {
+			if c != 1 {
+				t.Fatalf("atom %d delivered %d times", a, c)
 			}
 		}
-		st := rt.Stats()
-		if st.InteriorPairs < 0 || st.InteriorPairs > st.PairWork {
-			t.Fatalf("overlap=%v: InteriorPairs %d out of [0,%d]", overlap, st.InteriorPairs, st.PairWork)
-		}
-		if st.CommWallNs <= 0 || st.FrontierNs <= 0 || st.ReduceNs <= 0 {
-			t.Fatalf("overlap=%v: phase timers did not advance: %+v", overlap, st)
-		}
-		// Interior time is self-timed on the ranks: zero is honest when the
-		// grid leaves no interior region, positive otherwise.
-		if st.InteriorPairs > 0 && st.InteriorNs <= 0 {
-			t.Fatalf("overlap=%v: %d interior pairs but no interior time", overlap, st.InteriorPairs)
-		}
-		// Falsifiable accounting guard (the [0,1] range alone is clamped at
-		// the source): under the bulk-synchronous schedule the exposed wait
-		// spans the entire pack wall — send, pack, and receive — so the
-		// fraction must come out exactly 0; any mode mix-up in the
-		// ExchangeWaitNs/CommWallNs accumulation breaks this.
-		if !overlap {
-			if f := st.OverlapFraction(); f != 0 {
-				t.Fatalf("bulk-synchronous schedule must expose the whole exchange, got fraction %g", f)
-			}
-		} else if f := st.OverlapFraction(); f < 0 || f > 1 {
-			t.Fatalf("overlap fraction %g out of [0,1]", f)
-		}
-		rt.Close()
+	}
+	st := rt.Stats()
+	if st.InteriorPairs < 0 || st.InteriorPairs > st.PairWork {
+		t.Fatalf("InteriorPairs %d out of [0,%d]", st.InteriorPairs, st.PairWork)
+	}
+	if st.CommWallNs <= 0 || st.FrontierNs <= 0 || st.ReduceNs <= 0 {
+		t.Fatalf("phase timers did not advance: %+v", st)
+	}
+	// Interior time is self-timed on the ranks: zero is honest when the
+	// grid leaves no interior region, positive otherwise.
+	if st.InteriorPairs > 0 && st.InteriorNs <= 0 {
+		t.Fatalf("%d interior pairs but no interior time", st.InteriorPairs)
+	}
+	// Falsifiable accounting guard (the fraction is clamped at the source):
+	// every rank's ghost wait is a sub-interval of its own post-to-staged
+	// wall, so the slowest waits can never sum past the slowest walls.
+	if st.ExchangeWaitNs < 0 || st.ExchangeWaitNs > st.CommWallNs {
+		t.Fatalf("exchange wait %d outside the exchange wall %d", st.ExchangeWaitNs, st.CommWallNs)
+	}
+	if f := st.OverlapFraction(); f < 0 || f > 1 {
+		t.Fatalf("overlap fraction %g out of [0,1]", f)
 	}
 }

@@ -48,8 +48,8 @@ type PersistentPotential interface {
 // contents must not depend on the backend's internal schedule (only the
 // timing may). Sim detects the interface at construction and applies the
 // second velocity half-kick per batch, overlapping integration with the
-// potential's trailing work — for domain.Runtime, the reverse ghost-force
-// reduction of frontier atoms (the communication-hiding step pipeline).
+// potential's trailing work — for domain.Runtime, the ranks still
+// evaluating when another rank's forces land.
 //
 // ready runs on the evaluating goroutine; it may read and write the
 // delivered atoms' force and velocity entries but nothing else shared with

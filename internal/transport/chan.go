@@ -24,6 +24,22 @@ const slotsPerLink = 4
 type chanLink struct {
 	free chan *chanSlot
 	seq  atomic.Uint64
+	// Largest Ints/Vecs/Scalars payloads sent on the link so far (written
+	// by the sending endpoint only; Send is not concurrent with itself).
+	ints, vecs, scalars int
+}
+
+// reserve grows a staging slot to the largest Ints/Vecs/Scalars payloads
+// the link has carried, so every slot warms up within one pass of the free
+// list instead of whenever the schedule first hands it the largest frame
+// kind. Bytes (configuration payloads) are staged at their own size.
+func (lk *chanLink) reserve(s *chanSlot, f *Frame) {
+	lk.ints = max(lk.ints, len(f.Ints))
+	lk.vecs = max(lk.vecs, len(f.Vecs))
+	lk.scalars = max(lk.scalars, len(f.Scalars))
+	s.f.EnsureInts(lk.ints)
+	s.f.EnsureVecs(lk.vecs)
+	s.f.EnsureScalars(lk.scalars)
 }
 
 type chanEndpoint struct {
@@ -164,6 +180,7 @@ func (e *chanEndpoint) Send(f *Frame) error {
 	}
 	f.Src = int32(e.rank)
 	f.Seq = lk.seq.Add(1)
+	lk.reserve(s, f)
 	CopyFrame(&s.f, f)
 	select {
 	case t.eps[dst].inbox <- s:

@@ -62,7 +62,6 @@ type simConfig struct {
 	grid    [3]int
 	gridSet bool
 	auto    bool
-	overlap bool
 	skin    float64
 	halo    float64
 	workers int
@@ -149,16 +148,12 @@ func WithSkin(skin float64) Option {
 	}
 }
 
-// WithOverlap enables the communication-hiding step pipeline on the
-// decomposed backend: the forward ghost-position exchange is posted
-// asynchronously and hidden behind the interior pair blocks (centers whose
-// environments reference no ghost), and the reverse ghost-force reduction
-// of frontier atoms overlaps the integrator's second half-kick of interior
-// atoms. Trajectories are bit-identical with overlap on or off — only the
-// schedule changes — and the measured overlap fraction is reported by
-// Stats. A no-op on the serial backend (there is no exchange to hide).
+// WithOverlap is a no-op kept for source compatibility.
+//
+// Deprecated: every decomposed step hides the ghost exchange behind the
+// interior pair blocks; there is no schedule to select.
 func WithOverlap() Option {
-	return func(c *simConfig) { c.overlap = true }
+	return func(*simConfig) {}
 }
 
 // WithHalo overrides the ghost-import distance of the decomposed backend
@@ -255,7 +250,6 @@ func NewSimulation(sys *System, model *Model, opts ...Option) (*Simulation, erro
 			Skin:           cfg.skin,
 			Halo:           cfg.halo,
 			WorkersPerRank: cfg.workers,
-			Overlap:        cfg.overlap,
 		})
 		if err != nil {
 			return nil, err
@@ -331,20 +325,11 @@ func (s *Simulation) NumRanks() int {
 	return 1
 }
 
-// Overlapped reports whether the decomposed backend runs the
-// communication-hiding pipeline (always false on the serial backend).
-func (s *Simulation) Overlapped() bool {
-	return s.runtime != nil && s.runtime.Overlapped()
-}
-
-// Backend names the force backend for logs: "serial",
-// "decomposed 2x2x1", or "decomposed 2x2x1 overlapped".
+// Backend names the force backend for logs: "serial" or
+// "decomposed 2x2x1".
 func (s *Simulation) Backend() string {
 	if s.runtime != nil {
 		g := s.runtime.Grid()
-		if s.runtime.Overlapped() {
-			return fmt.Sprintf("decomposed %dx%dx%d overlapped", g[0], g[1], g[2])
-		}
 		return fmt.Sprintf("decomposed %dx%dx%d", g[0], g[1], g[2])
 	}
 	return "serial"

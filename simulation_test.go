@@ -323,10 +323,10 @@ func TestSimulationCompiledBitIdentical(t *testing.T) {
 }
 
 // TestSimulationOverlapBitIdentical pins the public-API form of the
-// overlap pipeline's hard invariant: WithOverlap changes the step schedule
-// (async exchange, split reduction, pipelined half-kick), never the
-// trajectory — bit-identical positions and energy against the synchronous
-// decomposed backend, thermostat stream included.
+// exchange-hiding invariant: the deprecated WithOverlap option changes
+// nothing — bit-identical positions and energy with it on or off,
+// thermostat stream included — and the ranks' interior/frontier split and
+// overlap fraction reach the facade's Stats.
 func TestSimulationOverlapBitIdentical(t *testing.T) {
 	model, _ := testModelAndBox(t)
 	// A box elongated along x so each 2x1x1 subdomain is deeper than
@@ -347,9 +347,6 @@ func TestSimulationOverlapBitIdentical(t *testing.T) {
 	defer syncSim.Close()
 	ovSim := run(WithGrid(2, 1, 1), WithOverlap())
 	defer ovSim.Close()
-	if syncSim.Overlapped() || !ovSim.Overlapped() {
-		t.Fatalf("Overlapped() wiring: sync=%v ov=%v", syncSim.Overlapped(), ovSim.Overlapped())
-	}
 	if a, b := syncSim.Report(), ovSim.Report(); a != b {
 		t.Fatalf("reports diverged:\n sync: %+v\n  ovl: %+v", a, b)
 	}
