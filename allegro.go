@@ -34,12 +34,12 @@
 // Run(ctx), Report, Checkpoint/Resume, idempotent Close, and observer
 // hooks (WithObserver, WithTrajectoryWriter). Every step evaluates the full
 // model at the current positions: no option skips or approximates part of
-// that evaluation. Trajectories are bit-identical across worker counts on
-// each backend, and across rank grids and skins on the decomposed backend,
-// whose goroutine ranks the multi-process rank fleet (cmd/allegro-rankd)
-// reproduces bit for bit; the serial and decomposed backends agree to
-// accumulation-order noise (the serial neighbor list orders a center's pairs
-// differently). See README.md for the options table.
+// that evaluation. Trajectories are bit-identical across backends, worker
+// counts, rank grids, skins and transports: the serial backend, every rank
+// grid and the multi-process rank fleet (cmd/allegro-rankd) give the same
+// bits, because every neighbor list orders a center's pairs the same way
+// and forces and energies are exact integer sums, rounded once. See
+// README.md for the options table.
 package allegro
 
 import (

@@ -426,6 +426,7 @@ func BenchmarkSimulationStep(b *testing.B) {
 				sim.Step()
 				reset()
 			}
+			b.StopTimer() // the deferred Close is not part of a step
 		})
 	}
 }

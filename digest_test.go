@@ -73,10 +73,11 @@ func checkDigests(t *testing.T, path string, got map[string]string) {
 
 // TestTrajectoryDigests pins ten Langevin steps of the public engine across
 // commits, on the serial backend (one and three workers) and the 2x1x1
-// decomposed backend with and without overlap. Serial and decomposed sum
-// each center's pairs in different orders, so their rows differ in the last
-// bits and are kept apart; the rows within each backend agree exactly.
-// Rerun with -update only for a change that moves bits on purpose.
+// decomposed backend with and without overlap. Every backend orders each
+// center's pairs the same way and sums rows exactly, so all four runs carry
+// the same bits; they are kept as separate rows so a change that breaks
+// the identity names the backend. Rerun with -update only for a change
+// that moves bits on purpose.
 func TestTrajectoryDigests(t *testing.T) {
 	model, box := testModelAndBox(t)
 	got := map[string]string{}
@@ -103,6 +104,13 @@ func TestTrajectoryDigests(t *testing.T) {
 		got[run.name+"/positions"] = vecDigest(sim.System().Pos)
 		if err := sim.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+	for _, run := range []string{"serial/workers=3", "grid=2x1x1", "grid=2x1x1/overlap"} {
+		for _, q := range []string{"potential-energy", "kinetic-energy", "positions"} {
+			if got[run+"/"+q] != got["serial/workers=1/"+q] {
+				t.Errorf("%s/%s: %s, serial/workers=1 %s", run, q, got[run+"/"+q], got["serial/workers=1/"+q])
+			}
 		}
 	}
 	checkDigests(t, filepath.Join("testdata", "digests.json"), got)

@@ -54,8 +54,9 @@ func main() {
 	// performance model), whose ranks hide the ghost exchange behind their
 	// interior blocks; a single-rank twin with identical seeds proves the
 	// decomposition exact: the position drift between the two must be
-	// exactly 0 A (the canonical slot ordering makes runtime
-	// trajectories bit-identical across rank grids).
+	// exactly 0 A (one per-center pair order and exact integer force sums
+	// make trajectories bit-identical across rank grids and the serial
+	// engine).
 	mkSim := func(opts ...allegro.Option) *allegro.Simulation {
 		base := []allegro.Option{
 			allegro.WithTimestep(0.25),

@@ -252,7 +252,7 @@ func (m *Model) Evaluate(sys *atoms.System) *Result {
 func (m *Model) EvaluatePairs(sys *atoms.System, pairs *neighbor.Pairs) *Result {
 	rows, pairE := m.tapeRows(sys, pairs)
 	res := &Result{PairWork: pairs.Len(), Forces: make([][3]float64, sys.NumAtoms())}
-	res.Energy = ReduceRows(m, sys.Species, pairs, rows, pairE, res.Forces)
+	res.Energy = ReduceRows(new(Partial), m, sys.Species, pairs, rows, pairE, res.Forces)
 	return res
 }
 
@@ -343,7 +343,7 @@ func (m *Model) EnergyForcesCentered(sys *atoms.System, owned []bool) (float64, 
 	if pairs.NumReal > 0 {
 		rows, pairE = m.tapeRows(sys, pairs)
 	}
-	return ReduceRows(m, ownedSpecies, pairs, rows, pairE, forces), forces
+	return ReduceRows(new(Partial), m, ownedSpecies, pairs, rows, pairE, forces), forces
 }
 
 // SetScaleShift installs the energy normalization: scale multiplies the

@@ -46,9 +46,11 @@ type EvalScratch struct {
 	workers int
 	plans   planCache // the serial context's compiled plans
 
-	// Per-pair outputs of EvaluatePairsInto, reduced by ReduceRows.
+	// Per-pair outputs of EvaluatePairsInto and the exact per-atom sums
+	// ReduceRows folds them into.
 	rows  [][3]float64
 	pairE []float64
+	sum   Partial
 
 	// Per-worker sub-evaluations of the chunked parallel path (each worker
 	// replays its own plan over a center-contiguous pair range) and the
@@ -135,9 +137,9 @@ const minEvalPairsPerWorker = 64
 // EvaluatePairsInto computes energy and forces with a caller-provided pair
 // list on the scratch's recycled buffers: EvaluateRowsInto harvests the
 // per-pair rows and pair energies (chunked across workers), then ReduceRows
-// folds them in pair order. Per-pair rows do not depend on the chunk layout
-// and the reduction is serial, so results are bitwise identical for any
-// worker count. The returned Result points into the scratch.
+// sums them exactly. Per-pair rows do not depend on the chunk layout and the
+// exact sums do not depend on the order, so results are bitwise identical
+// for any worker count. The returned Result points into the scratch.
 func (m *Model) EvaluatePairsInto(es *EvalScratch, sys *atoms.System, pairs *neighbor.Pairs) *Result {
 	res := &es.res
 	res.PairWork = pairs.Len()
@@ -153,46 +155,25 @@ func (m *Model) EvaluatePairsInto(es *EvalScratch, sys *atoms.System, pairs *nei
 		es.rows, es.pairE = es.rows[:z], es.pairE[:z]
 	}
 	m.EvaluateRowsInto(es, sys, pairs, es.rows, es.pairE)
-	res.Energy = ReduceRows(m, sys.Species, pairs, es.rows, es.pairE, res.Forces)
+	res.Energy = ReduceRows(&es.sum, m, sys.Species, pairs, es.rows, es.pairE, res.Forces)
 	return res
 }
 
 // ReduceRows is the one reduction from per-pair outputs to an evaluation's
-// totals. Forces: rvec_z = r_j - r_i, so each real pair's row adds to its
-// center and subtracts from its neighbor, in pair order. Energy: the pair
-// energies summed in pair order, then the per-species shifts in atom order,
-// then the final-stage precision rounding. Every engine funnels through it,
-// which is what makes their answers the same bits.
-//
-// The domain runtime reduces forces itself — the same pair order, split per
-// atom for its interior/frontier pipeline — and passes nil pairs, rows and
-// forces to get only the energy ladder over its global pair-energy slots.
-func ReduceRows(m *Model, species []units.Species, pairs *neighbor.Pairs, rows [][3]float64, pairE []float64, forces [][3]float64) float64 {
-	if forces != nil {
-		clear(forces)
-		for z := 0; z < pairs.NumReal; z++ {
-			i, j := pairs.I[z], pairs.J[z]
-			row := rows[z]
-			forces[i][0] += row[0]
-			forces[i][1] += row[1]
-			forces[i][2] += row[2]
-			forces[j][0] -= row[0]
-			forces[j][1] -= row[1]
-			forces[j][2] -= row[2]
-		}
-		pairE = pairE[:pairs.NumReal]
-	}
-	energy := 0.0
-	for _, pe := range pairE {
-		energy += pe
-	}
-	for _, sp := range species {
-		energy += m.EnergyShift[m.Idx.Index(sp)]
-	}
-	if m.Cfg.Precision.Final != tensor.F64 {
-		energy = m.Cfg.Precision.Final.Round(energy)
-	}
-	return energy
+// totals: the real pairs' rows (rvec_z = r_j - r_i, so each adds to its
+// center and subtracts from its neighbor), their pair energies and the
+// per-species shifts are summed exactly in sum (see ExactSum), then every
+// force component and the energy are rounded once, the energy also to the
+// final-stage precision. The sums are integer additions, so the result does
+// not depend on pair order, chunking, worker count or rank grid: every
+// engine that sums the same rows gets the same bits. sum is scratch, reset
+// here; forces is overwritten.
+func ReduceRows(sum *Partial, m *Model, species []units.Species, pairs *neighbor.Pairs, rows [][3]float64, pairE []float64, forces [][3]float64) float64 {
+	sum.Reset(len(forces))
+	sum.AddRows(pairs, rows, pairE)
+	sum.AddShifts(m, species)
+	sum.RoundForces(forces)
+	return m.RoundEnergy(sum.Energy)
 }
 
 // prepareChunkWorkers sizes the per-worker plan caches and carves the
@@ -259,7 +240,7 @@ func (es *EvalScratch) computeBounds(pairs *neighbor.Pairs, nw int) {
 // independent sub-graphs — the identity the paper's domain decomposition
 // rests on) and each worker replays forward+backward over its chunk on a
 // private compiled plan, writing its disjoint range of the buffers. Rows
-// are what ReduceRows folds and what the domain runtime's ranks exchange;
+// are what ReduceRows and the domain runtime's ranks sum exactly;
 // per-species energy shifts and final-precision rounding are atom- and
 // total-level terms and are left to the reducer.
 //

@@ -254,9 +254,10 @@ func TestChunkedEvaluationBitwiseAcrossWorkers(t *testing.T) {
 }
 
 // TestEvaluateRowsIntoReducesToForces checks the row-level entry point (the
-// domain runtime's rank evaluation) against a hand-written pair-order
-// reduction: rows[z] (+center, -neighbor) plus pair energies and species
-// shifts must reproduce EvaluatePairsInto bit for bit — serial and
+// domain runtime's rank evaluation) against a hand-written reduction: each
+// row added to its center's and subtracted from its neighbor's exact sums,
+// pair energies and species shifts added to the energy sum, each rounded
+// once, must reproduce EvaluatePairsInto bit for bit — serial and
 // chunked-parallel alike, since per-pair rows are independent of the chunk
 // layout.
 func TestEvaluateRowsIntoReducesToForces(t *testing.T) {
@@ -279,24 +280,24 @@ func TestEvaluateRowsIntoReducesToForces(t *testing.T) {
 		m.EvaluateRowsInto(es, sys, &pairs, rows, pairE)
 		es.Close()
 
-		forces := make([][3]float64, sys.NumAtoms())
-		energy := 0.0
+		sums := make([][3]ExactSum, sys.NumAtoms())
+		var energy ExactSum
 		for z := 0; z < pairs.NumReal; z++ {
 			i, j := pairs.I[z], pairs.J[z]
 			for k := 0; k < 3; k++ {
-				forces[i][k] += rows[z][k]
-				forces[j][k] -= rows[z][k]
+				sums[i][k].Add(rows[z][k])
+				sums[j][k].Add(-rows[z][k])
 			}
-			energy += pairE[z]
+			energy.Add(pairE[z])
 		}
 		for _, sp := range sys.Species {
-			energy += m.EnergyShift[m.Idx.Index(sp)]
+			energy.Add(m.EnergyShift[m.Idx.Index(sp)])
 		}
-		if energy != want.Energy {
-			t.Fatalf("workers=%d: row energy %.17g vs %.17g", workers, energy, want.Energy)
+		if e := energy.Float64(); e != want.Energy {
+			t.Fatalf("workers=%d: row energy %.17g vs %.17g", workers, e, want.Energy)
 		}
-		for i := range forces {
-			if forces[i] != wantForces[i] {
+		for i, f := range sums {
+			if got := [3]float64{f[0].Float64(), f[1].Float64(), f[2].Float64()}; got != wantForces[i] {
 				t.Fatalf("workers=%d: row-reduced force mismatch at atom %d", workers, i)
 			}
 		}

@@ -105,6 +105,9 @@ func TestCenteredEvaluationPartitions(t *testing.T) {
 	}
 }
 
+// TestDecomposedMatchesSerial: a decomposed evaluation gives the serial
+// engine's bits. Both order each center's pairs by neighbor index and sum
+// rows exactly, so the rank grid leaves no trace in the result.
 func TestDecomposedMatchesSerial(t *testing.T) {
 	m := tinyModel(t)
 	rng := rand.New(rand.NewPCG(5, 6))
@@ -114,15 +117,12 @@ func TestDecomposedMatchesSerial(t *testing.T) {
 	eSerial, fSerial := m.EnergyForces(sys)
 	for _, grid := range [][3]int{{2, 1, 1}, {1, 2, 1}, {2, 2, 1}} {
 		e, f, st := evaluateOnce(t, m, sys, RuntimeOptions{Grid: grid, Halo: 3.0})
-		if math.Abs(e-eSerial) > 1e-7 {
-			t.Fatalf("grid %v: energy %g != serial %g", grid, e, eSerial)
+		if e != eSerial {
+			t.Fatalf("grid %v: energy %.17g != serial %.17g", grid, e, eSerial)
 		}
 		for i := range fSerial {
-			for k := 0; k < 3; k++ {
-				if math.Abs(f[i][k]-fSerial[i][k]) > 1e-7 {
-					t.Fatalf("grid %v: force mismatch atom %d dim %d: %g vs %g",
-						grid, i, k, f[i][k], fSerial[i][k])
-				}
+			if f[i] != fSerial[i] {
+				t.Fatalf("grid %v: force mismatch atom %d: %v vs %v", grid, i, f[i], fSerial[i])
 			}
 		}
 		if st.MaxGhosts == 0 {
@@ -211,9 +211,9 @@ func TestFilterCenters(t *testing.T) {
 }
 
 func TestDecomposedMDMatchesSerialTrajectory(t *testing.T) {
-	// NVE trajectories under serial and decomposed force evaluation must
-	// agree (bit-level force agreement leaves only accumulation-order
-	// noise, which stays tiny over a short trajectory).
+	// NVE trajectories under serial and decomposed force evaluation agree
+	// to the bit: forces are the same bits every step, so positions and
+	// energies never part.
 	m := tinyModel(t)
 	rng := rand.New(rand.NewPCG(11, 12))
 	sys := data.WaterBox(rng, 3, 3, 3)
@@ -233,13 +233,11 @@ func TestDecomposedMDMatchesSerialTrajectory(t *testing.T) {
 	serial.Run(10)
 	dec.Run(10)
 	for i := range serial.Sys.Pos {
-		for k := 0; k < 3; k++ {
-			if d := math.Abs(serial.Sys.Pos[i][k] - dec.Sys.Pos[i][k]); d > 1e-6 {
-				t.Fatalf("trajectories diverged at atom %d dim %d by %g", i, k, d)
-			}
+		if serial.Sys.Pos[i] != dec.Sys.Pos[i] {
+			t.Fatalf("trajectories diverged at atom %d: %v vs %v", i, serial.Sys.Pos[i], dec.Sys.Pos[i])
 		}
 	}
-	if math.Abs(serial.TotalEnergy()-dec.TotalEnergy()) > 1e-6 {
-		t.Fatalf("total energies diverged: %g vs %g", serial.TotalEnergy(), dec.TotalEnergy())
+	if serial.TotalEnergy() != dec.TotalEnergy() {
+		t.Fatalf("total energies diverged: %.17g vs %.17g", serial.TotalEnergy(), dec.TotalEnergy())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/transport"
 )
 
@@ -17,17 +18,18 @@ var errRecoverInterrupt = errors.New("domain: phase interrupted by recovery epoc
 
 // This file is a rank's attachment to the pluggable transport: the
 // rebuild-time exchange-plan swap and the two per-step framed exchanges
-// (forward ghost positions, reverse force rows).
+// (forward ghost positions, reverse ghost force partials).
 //
-// Plans make per-step payloads self-describing by position instead of by
-// metadata: at every rebuild, rank d sends rank s the global atom ids it
-// needs forwarded — in d's ghost-arena order (KindFwdPlan) — and rank s
-// sends rank d the canonical pair slots it will push rows for — in s's
-// ascending local pair order (KindRowPlan). A step then moves pure payload:
-// s packs positions in exactly the order d asked for, d scatters payload k
-// to its k-th planned arena slot; likewise for rows into canonical global
-// slots. One frame per link per phase, staged through reusable Frame
-// buffers, so the steady state allocates nothing on the chan transport.
+// The plan makes per-step payloads self-describing by position instead of
+// by metadata: at every rebuild, rank d sends rank s the global atom ids it
+// needs forwarded, in d's ghost-arena order (KindFwdPlan). A step then
+// moves pure payload: s packs positions in exactly the order d asked for,
+// d scatters payload k to its k-th planned arena slot. The reverse exchange
+// runs the same plan transposed, as LAMMPS reverse communication does: d
+// sends s one exact force partial per planned arena slot, in the same
+// order, and s merges payload k into the owned atom it packed k-th. One
+// frame per link per phase, staged through reusable Frame buffers, so the
+// steady state allocates nothing on the chan transport.
 //
 // Failure: a phase that observes a KindDeath notice (or a DeadError from
 // Send/Recv) marks the peer in deadRank, forfeits the pending expectation
@@ -54,57 +56,45 @@ func (rk *rank) noteDeath(dead int) {
 	rk.noteErr(&transport.DeadError{Rank: dead})
 }
 
-// derivePlans recomputes the rank's local halves of the exchange plans from
-// the freshly built ghost list and canonical pair slots (rebuild only).
+// derivePlans recomputes the rank's local half of the exchange plan from
+// the freshly built ghost list (rebuild only): every ghost is either a
+// self-owned periodic image (staged and folded locally) or an import from
+// its owning rank, in arena order.
 func (rk *rank) derivePlans() {
 	h := rk.h
-	nr := h.nr
 	rk.selfGhostIdx = rk.selfGhostIdx[:0]
-	rk.selfGhostAtom = rk.selfGhostAtom[:0]
-	for d := 0; d < nr; d++ {
+	rk.selfGhostOwn = rk.selfGhostOwn[:0]
+	for d := 0; d < h.nr; d++ {
 		rk.fwdNeed[d] = rk.fwdNeed[d][:0]
 		rk.fwdArena[d] = rk.fwdArena[d][:0]
-		rk.rowSendT[d] = rk.rowSendT[d][:0]
-		rk.rowPlan[d] = rk.rowPlan[d][:0]
 	}
-	// Forward plan: every ghost is either a self-owned periodic image
-	// (staged locally) or an import from its owning rank, in arena order.
 	for t := rk.nOwned; t < len(rk.gOf); t++ {
 		g := rk.gOf[t]
 		o := int(h.owner[g])
 		idx := int32(t - rk.nOwned)
 		if o == rk.id {
+			own, _ := rk.ownedLocal(g)
 			rk.selfGhostIdx = append(rk.selfGhostIdx, idx)
-			rk.selfGhostAtom = append(rk.selfGhostAtom, g)
+			rk.selfGhostOwn = append(rk.selfGhostOwn, own)
 		} else {
 			rk.fwdNeed[o] = append(rk.fwdNeed[o], g)
 			rk.fwdArena[o] = append(rk.fwdArena[o], idx)
 		}
 	}
-	// Row plan: pairs whose ghost neighbor is owned elsewhere push their
-	// row to the owner, in ascending local pair order (which the receiver
-	// replays positionally). Interior pairs never reference ghosts, but
-	// scanning the whole list keeps this independent of the partition.
-	p := &rk.pairs
-	for t := 0; t < p.Len(); t++ {
-		j := p.J[t]
-		if j < rk.nOwned {
-			continue
-		}
-		g := rk.gOf[j]
-		o := int(h.owner[g])
-		if o == rk.id {
-			continue
-		}
-		rk.rowSendT[o] = append(rk.rowSendT[o], int32(t))
-		rk.rowPlan[o] = append(rk.rowPlan[o], rk.slotOf[t], g)
-	}
 }
 
-// execPlanExchange derives this rank's plan halves and swaps them with
-// every peer: one KindFwdPlan and one KindRowPlan per link, both tagged
-// with the rebuild tick. Plans are exchanged even when empty so every rank
-// expects exactly two frames per live peer.
+// ownedLocal returns the local index of owned global atom g (owned atoms
+// lead the local order, ascending).
+func (rk *rank) ownedLocal(g int32) (int32, bool) {
+	t, ok := slices.BinarySearch(rk.gOf[:rk.nOwned], g)
+	return int32(t), ok
+}
+
+// execPlanExchange derives this rank's plan half and swaps it with every
+// peer: one KindFwdPlan per link, tagged with the rebuild tick. Plans are
+// exchanged even when empty so every rank expects exactly one frame per
+// live peer. A received plan is stored as owned local indices: the pack
+// order of the forward exchange and the merge order of the reverse one.
 func (rk *rank) execPlanExchange() {
 	h := rk.h
 	rk.derivePlans()
@@ -122,30 +112,19 @@ func (rk *rank) execPlanExchange() {
 		copy(f.EnsureInts(len(rk.fwdNeed[d])), rk.fwdNeed[d])
 		if err := rk.ep.Send(f); err != nil {
 			rk.handleSendErr(err)
-			continue
-		}
-		f.Reset(transport.KindRowPlan, d, tick)
-		copy(f.EnsureInts(len(rk.rowPlan[d])), rk.rowPlan[d])
-		if err := rk.ep.Send(f); err != nil {
-			rk.handleSendErr(err)
 		}
 	}
-	// Expect a FwdPlan and a RowPlan from every live peer. seen encodes
-	// two bits per peer via two passes of the shared scratch: run the
-	// receive loop over a combined count with per-kind bookkeeping.
 	pending := 0
 	for s := 0; s < nr; s++ {
 		alive := s != rk.id && !h.deadRank[s]
 		rk.seen[s] = !alive // seen == true means "nothing more expected"
-		rk.planBits[s] = 0
 		if alive {
-			pending += 2
+			pending++
 			rk.sendFwd[s] = rk.sendFwd[s][:0]
-			rk.rowRecv[s] = rk.rowRecv[s][:0]
 		}
 	}
 	for pending > 0 {
-		if err := rk.recvExpect(transport.KindFwdPlan, transport.KindRowPlan); err != nil {
+		if err := rk.recvExpect(transport.KindFwdPlan, transport.KindInvalid); err != nil {
 			rk.noteErr(err)
 			return
 		}
@@ -153,22 +132,26 @@ func (rk *rank) execPlanExchange() {
 		s := int(g.Src)
 		switch g.Kind {
 		case transport.KindFwdPlan:
-			if g.Step != tick || s < 0 || s >= nr || rk.seen[s] || rk.planGot(s, 0) {
+			if g.Step != tick || s < 0 || s >= nr || rk.seen[s] {
 				continue
 			}
-			rk.sendFwd[s] = append(rk.sendFwd[s][:0], g.Ints...)
-			rk.planMark(s, 0)
-			pending--
-		case transport.KindRowPlan:
-			if g.Step != tick || s < 0 || s >= nr || rk.seen[s] || rk.planGot(s, 1) {
-				continue
+			for _, a := range g.Ints {
+				loc, ok := rk.ownedLocal(a)
+				if !ok {
+					rk.noteErr(fmt.Errorf("domain: rank %d: peer %d plans atom %d, which this rank does not own", rk.id, s, a))
+					break
+				}
+				rk.sendFwd[s] = append(rk.sendFwd[s], loc)
 			}
-			rk.rowRecv[s] = append(rk.rowRecv[s][:0], g.Ints...)
-			rk.planMark(s, 1)
+			rk.seen[s] = true
 			pending--
 		case transport.KindDeath:
-			pending -= rk.forfeit(s)
-			if rk.commErr != nil && s == rk.id {
+			rk.noteDeath(s)
+			if s >= 0 && s < nr && !rk.seen[s] {
+				rk.seen[s] = true
+				pending--
+			}
+			if s == rk.id {
 				return // our own endpoint is dead; nothing more will arrive
 			}
 		case transport.KindRecover:
@@ -181,36 +164,6 @@ func (rk *rank) execPlanExchange() {
 	}
 }
 
-// planGot/planMark/forfeit track which plan kinds have arrived per peer
-// during execPlanExchange, using a small bitmask scratch.
-func (rk *rank) planGot(s, kind int) bool { return rk.planBits[s]&(1<<kind) != 0 }
-func (rk *rank) planMark(s, kind int) {
-	rk.planBits[s] |= 1 << kind
-	if rk.planBits[s] == 3 {
-		rk.seen[s] = true
-	}
-}
-
-// forfeit marks a peer dead mid-phase and returns how many of its expected
-// frames were still outstanding (so the receive loop's pending count stays
-// exact and the phase cannot hang on a corpse).
-func (rk *rank) forfeit(s int) int {
-	rk.noteDeath(s)
-	nr := rk.h.nr
-	if s < 0 || s >= nr || rk.seen[s] {
-		return 0
-	}
-	rk.seen[s] = true
-	out := 2
-	if rk.planGot(s, 0) {
-		out--
-	}
-	if rk.planGot(s, 1) {
-		out--
-	}
-	return out
-}
-
 // postGhosts opens the forward exchange: stage self-owned periodic images
 // directly into the current half of the double-buffered arena and push
 // each peer the positions it planned for as one KindGhostPos frame. The
@@ -219,7 +172,7 @@ func (rk *rank) postGhosts() {
 	h := rk.h
 	buf := rk.ghost[h.parity]
 	for k, idx := range rk.selfGhostIdx {
-		buf[idx] = h.pw[rk.selfGhostAtom[k]]
+		buf[idx] = h.pw[rk.gOf[rk.selfGhostOwn[k]]]
 	}
 	f := &rk.sendF
 	for d := 0; d < h.nr; d++ {
@@ -232,8 +185,8 @@ func (rk *rank) postGhosts() {
 		}
 		f.Reset(transport.KindGhostPos, d, h.stepTick)
 		vecs := f.EnsureVecs(len(rk.sendFwd[d]))
-		for k, g := range rk.sendFwd[d] {
-			vecs[k] = h.pw[g]
+		for k, t := range rk.sendFwd[d] {
+			vecs[k] = h.pw[rk.gOf[t]]
 		}
 		if err := rk.ep.Send(f); err != nil {
 			rk.handleSendErr(err)
@@ -301,11 +254,12 @@ func (rk *rank) waitGhosts() {
 	}
 }
 
-// execExchangeRows is the reverse exchange: push every peer the force rows
-// of pairs whose ghost neighbor it owns — ascending local pair order,
-// exactly the KindRowPlan it holds — and scatter arriving rows into their
-// canonical slots, so the reduction reads settled slots.
-func (rk *rank) execExchangeRows() {
+// execReverse is the reverse exchange: send every peer the exact force
+// partials of the ghosts it owns — one per arena slot, in the forward plan
+// order it asked for — and merge every arriving partial into the owned atom
+// the transposed plan names. Merges are exact, so the arrival order does
+// not matter.
+func (rk *rank) execReverse() {
 	h := rk.h
 	nr := h.nr
 	if nr == 1 {
@@ -314,7 +268,7 @@ func (rk *rank) execExchangeRows() {
 	tick := h.stepTick
 	f := &rk.sendF
 	for d := 0; d < nr; d++ {
-		if d == rk.id || len(rk.rowSendT[d]) == 0 {
+		if d == rk.id || len(rk.fwdArena[d]) == 0 {
 			continue
 		}
 		if h.deadRank[d] {
@@ -322,9 +276,11 @@ func (rk *rank) execExchangeRows() {
 			continue
 		}
 		f.Reset(transport.KindRows, d, tick)
-		vecs := f.EnsureVecs(len(rk.rowSendT[d]))
-		for k, t := range rk.rowSendT[d] {
-			vecs[k] = rk.rowsBuf[t]
+		ints := f.EnsureInts(partialWords * len(rk.fwdArena[d]))
+		for k, idx := range rk.fwdArena[d] {
+			for c, a := range &rk.sum.Forces[rk.nOwned+int(idx)] {
+				a.PutWords(ints[partialWords*k+core.ExactSumWords*c:])
+			}
 		}
 		if err := rk.ep.Send(f); err != nil {
 			rk.handleSendErr(err)
@@ -332,7 +288,7 @@ func (rk *rank) execExchangeRows() {
 	}
 	pending := 0
 	for s := 0; s < nr; s++ {
-		expect := s != rk.id && len(rk.rowRecv[s]) > 0 && !h.deadRank[s]
+		expect := s != rk.id && len(rk.sendFwd[s]) > 0 && !h.deadRank[s]
 		rk.seen[s] = !expect
 		if expect {
 			pending++
@@ -350,14 +306,17 @@ func (rk *rank) execExchangeRows() {
 			if g.Step != tick || s < 0 || s >= nr || rk.seen[s] {
 				continue
 			}
-			plan := rk.rowRecv[s]
-			if 2*len(g.Vecs) != len(plan) {
-				rk.noteErr(fmt.Errorf("domain: rank %d: row frame from %d carries %d rows, plan expects %d",
-					rk.id, s, len(g.Vecs), len(plan)/2))
+			plan := rk.sendFwd[s]
+			if len(g.Ints) != partialWords*len(plan) {
+				rk.noteErr(fmt.Errorf("domain: rank %d: partial frame from %d carries %d words, plan expects %d ghosts",
+					rk.id, s, len(g.Ints), len(plan)))
 				continue
 			}
-			for k, v := range g.Vecs {
-				h.rows[plan[2*k]] = v
+			for k, t := range plan {
+				acc := &rk.sum.Forces[t]
+				for c := range acc {
+					acc[c].Merge(core.ExactSumFromWords(g.Ints[partialWords*k+core.ExactSumWords*c:]))
+				}
 			}
 			rk.seen[s] = true
 			pending--
@@ -379,6 +338,10 @@ func (rk *rank) execExchangeRows() {
 		}
 	}
 }
+
+// partialWords is the wire size of one atom's force partial: three exact
+// sums (48 B).
+const partialWords = 3 * core.ExactSumWords
 
 // handleSendErr classifies a Send failure: a DeadError marks the peer (or
 // this rank itself) dead so subsequent phases skip it; anything else is
@@ -413,21 +376,26 @@ func (rk *rank) unstash(i int) {
 }
 
 // reservePark sizes the parking pool for the steady state after a plan
-// swap: a step parks at most one ghost frame and one row frame per peer,
-// none larger than the plans just exchanged, so between rebuilds the
+// swap: a step parks at most one ghost frame and one partial frame per
+// peer, none larger than the plans just exchanged, so between rebuilds the
 // stash never needs a new frame, a larger buffer or a longer list.
 func (rk *rank) reservePark() {
 	h := rk.h
-	vecs := 0
+	vecs, ints := 0, 0
 	for s := 0; s < h.nr; s++ {
-		vecs = max(vecs, len(rk.fwdArena[s]), len(rk.rowRecv[s])/2)
+		vecs = max(vecs, len(rk.fwdArena[s]))
+		ints = max(ints, partialWords*len(rk.sendFwd[s]))
 	}
 	for len(rk.free)+len(rk.stash) < 2*(h.nr-1) {
 		rk.free = append(rk.free, new(transport.Frame))
 	}
 	for _, f := range slices.Concat(rk.free, rk.stash) {
+		// Grow keeps a parked frame's payload.
 		if n := vecs - len(f.Vecs); n > 0 {
-			f.Vecs = slices.Grow(f.Vecs, n) // keeps a parked frame's payload
+			f.Vecs = slices.Grow(f.Vecs, n)
+		}
+		if n := ints - len(f.Ints); n > 0 {
+			f.Ints = slices.Grow(f.Ints, n)
 		}
 	}
 	frames := len(rk.free) + len(rk.stash)
@@ -436,14 +404,14 @@ func (rk *rank) reservePark() {
 }
 
 // stashData parks rk.recvF for a later phase if it is a cross-phase data
-// frame: a fast peer racing ahead (plans, ghosts, rows) or a driver frame
-// pipelined behind the one being processed (owned positions sent right
-// after a rebuild's layout broadcast). Control and unknown frames are
+// frame: a fast peer racing ahead (plans, ghosts, partials) or a driver
+// frame pipelined behind the one being processed (owned positions sent
+// right after a rebuild broadcast). Control and unknown frames are
 // dropped.
 func (rk *rank) stashData() {
 	switch rk.recvF.Kind {
-	case transport.KindFwdPlan, transport.KindRowPlan, transport.KindGhostPos, transport.KindRows,
-		transport.KindRebuild, transport.KindLayout, transport.KindOwnedPos, transport.KindShutdown,
+	case transport.KindFwdPlan, transport.KindGhostPos, transport.KindRows,
+		transport.KindRebuild, transport.KindOwnedPos, transport.KindShutdown,
 		transport.KindReplica, transport.KindReplicaReq, transport.KindRecover:
 		var cp *transport.Frame
 		if n := len(rk.free); n > 0 {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/atoms"
@@ -36,12 +35,12 @@ var errAbandoned = errors.New("rankd: phase abandoned by recovery epoch")
 // hosted in its own OS process (cmd/allegro-rankd) or, inside Runtime, in
 // a goroutine on a channel transport. Its step posts the forward ghost
 // exchange, evaluates the interior block while the frames travel, then
-// receives the ghosts, evaluates the frontier block, swaps force rows with
-// its peers and reduces its owned atoms' forces in canonical slot order.
-// The global arrays its phases read (positions, ownership, slot layout)
-// are populated from the driver's frames. Because every derived quantity
-// (wrap, ownership, slots, reduction order, energy slots) comes from the
-// shared arithmetic, a trajectory is bit-identical on every host and
+// receives the ghosts, evaluates the frontier block, returns each remote
+// ghost's exact force partial to its owner and rounds its owned atoms'
+// forces once. The global arrays its phases read (positions, ownership)
+// are populated from the driver's frames. Every derived quantity (wrap,
+// ownership, per-center pair order) comes from the shared arithmetic and
+// every sum is exact, so a trajectory is bit-identical on every host and
 // transport.
 type RankServer struct {
 	id   int
@@ -126,14 +125,10 @@ func (s *RankServer) build(wire *remoteWire) error {
 	h := &host{
 		model: m, species: wire.Species, cell: wire.Cell,
 		halo: halo, skin: wire.Skin, nr: nr,
-		n:         n,
-		pw:        make([][3]float64, n),
-		owner:     make([]int32, n),
-		pairCnt:   make([]int32, n),
-		pairStart: make([]int32, n+1),
-		adjPtr:    make([]int32, n+1),
-		forces:    make([][3]float64, n),
-		deadRank:  make([]bool, nr),
+		n:        n,
+		pw:       make([][3]float64, n),
+		owner:    make([]int32, n),
+		deadRank: make([]bool, nr),
 	}
 	var sub [3]float64
 	for k := 0; k < 3; k++ {
@@ -356,9 +351,8 @@ func (s *RankServer) handleReplicaReq(f *transport.Frame) error {
 }
 
 // handleRebuild runs this rank's half of a rebuild: import the broadcast
-// ownership and positions, rebuild membership/lists, return the per-center
-// pair counts, wait for the slot layout, then assign slots, swap exchange
-// plans with the peers, and derive the local reduction adjacency.
+// ownership and positions, rebuild membership/lists, return the workload
+// counters, then swap exchange plans with the peers.
 func (s *RankServer) handleRebuild(f *transport.Frame) error {
 	h, rk := s.h, s.rk
 	if len(f.Ints) != h.n || len(f.Vecs) != h.n {
@@ -368,137 +362,40 @@ func (s *RankServer) handleRebuild(f *transport.Frame) error {
 	h.rebuildTick = f.Step
 	copy(h.owner, f.Ints)
 	copy(h.pw, f.Vecs)
-	clear(h.pairCnt)
 	rk.execRebuild()
 
-	// Per-center counts back to the driver, owned-ascending (gOf order),
-	// then this rank's workload counters for the driver's RuntimeStats.
 	out := &s.sendF
 	out.Reset(transport.KindCounts, s.nr, h.rebuildTick)
-	ints := out.EnsureInts(rk.nOwned + countsTrailer)
-	for t := 0; t < rk.nOwned; t++ {
-		ints[t] = h.pairCnt[rk.gOf[t]]
-	}
-	copy(ints[rk.nOwned:], []int32{int32(rk.nInterior), int32(rk.nGhosts), int32(rk.ghostRowCount)})
+	copy(out.EnsureInts(countsLen), []int32{int32(rk.nInterior), int32(rk.nGhosts), int32(rk.nRemoteGhosts), int32(rk.pairs.Len())})
 	if err := s.ep.Send(out); err != nil {
 		return fmt.Errorf("rankd %d: send counts: %w", s.id, err)
 	}
 
-	// The global slot layout comes back once the driver has every rank's
-	// counts; peer plan frames racing ahead park in the stash.
-	for {
-		if err := rk.recvExpect(transport.KindLayout, transport.KindInvalid); err != nil {
-			return fmt.Errorf("rankd %d: waiting for layout: %w", s.id, err)
-		}
-		g := &rk.recvF
-		if g.Kind == transport.KindLayout {
-			if g.Step == h.rebuildTick {
-				break
-			}
-			continue // a duplicate or stale layout of an earlier rebuild
-		}
-		if g.Kind == transport.KindDeath {
-			if int(g.Src) == s.nr {
-				return fmt.Errorf("rankd %d: driver died during rebuild", s.id)
-			}
-			rk.noteDeath(int(g.Src))
-			continue // the plan swap below will observe the death
-		}
-		if g.Kind == transport.KindRecover {
-			// The driver gave up on this rebuild and opened a recovery
-			// epoch: abandon the phase and let the serve loop process the
-			// parked epoch frame.
-			rk.stashData()
-			rk.commErr = nil
-			h.started = false
-			return errAbandoned
-		}
-		rk.stashData()
-	}
-	if len(rk.recvF.Ints) != h.n+1 {
-		return fmt.Errorf("rankd %d: layout frame carries %d offsets, want %d", s.id, len(rk.recvF.Ints), h.n+1)
-	}
-	copy(h.pairStart, rk.recvF.Ints)
-	nPairs := int(h.pairStart[h.n])
-	if cap(h.rows) < nPairs {
-		h.rows = make([][3]float64, nPairs)
-		h.pairE = make([]float64, nPairs)
-	}
-	h.rows = h.rows[:nPairs]
-	h.pairE = h.pairE[:nPairs]
-
-	rk.execSlots()
 	rk.execPlanExchange()
 	if rk.commErr != nil {
 		return s.settlePhaseComm(h.rebuildTick)
 	}
-	s.buildLocalAdjacency()
 	rk.reservePark()
 	h.started = true
 	s.logln("rebuild %d: %d owned, %d ghosts, %d pairs", h.rebuildTick, rk.nOwned, rk.nGhosts, rk.pairs.Len())
 	return nil
 }
 
-// buildLocalAdjacency derives, for every atom this rank owns, the signed
-// slot references contributing to its force, in ascending slot order.
-// Center references come from this rank's own pairs (centers are owned);
-// neighbor references come from own pairs whose neighbor this rank owns
-// (directly or as a self-ghost image) plus the row plans peers registered
-// at the plan swap (their pairs whose ghost neighbor lives here). Every
-// global slot contributes exactly one center and one neighbor reference
-// somewhere; sorting by (atom, slot, side) gives each atom the serial
-// accumulation order (ascending slot, center half before neighbor half).
-func (s *RankServer) buildLocalAdjacency() {
-	h, rk := s.h, s.rk
-	refs := make([]int64, 0, 2*rk.pairs.Len())
-	pack := func(atom int32, ref int32) int64 { return int64(atom)<<32 | int64(ref) }
-	p := &rk.pairs
-	for t := 0; t < p.Len(); t++ {
-		gi := rk.gOf[p.I[t]]
-		refs = append(refs, pack(gi, rk.slotOf[t]<<1))
-		gj := rk.gOf[p.J[t]]
-		if h.owner[gj] == int32(rk.id) {
-			refs = append(refs, pack(gj, rk.slotOf[t]<<1|1))
-		}
-	}
-	for src := 0; src < s.nr; src++ {
-		plan := rk.rowRecv[src]
-		for k := 0; k+1 < len(plan); k += 2 {
-			refs = append(refs, pack(plan[k+1], plan[k]<<1|1))
-		}
-	}
-	sort.Slice(refs, func(a, b int) bool { return refs[a] < refs[b] })
-
-	if cap(h.adj) < len(refs) {
-		h.adj = make([]int32, len(refs))
-	}
-	h.adj = h.adj[:len(refs)]
-	clear(h.adjPtr)
-	for i, r := range refs {
-		h.adj[i] = int32(r & 0xFFFFFFFF)
-		h.adjPtr[int(r>>32)+1]++
-	}
-	for a := 0; a < h.n; a++ {
-		h.adjPtr[a+1] += h.adjPtr[a]
-	}
-}
-
-// countsTrailer is the number of workload counters a KindCounts frame
-// carries after the per-center pair counts: interior pairs, ghosts, and
-// ghost force rows. forcesTrailer is the number of phase timers (ns) a
-// KindForces frame carries after the pair energies: the forward exchange's
-// post-to-staged wall, the ghost wait, and the interior, frontier and
-// reduce times.
+// countsLen is the length of a KindCounts frame: the rank's interior
+// pairs, ghosts, ghosts owned by other ranks, and pairs. forcesTrailer is
+// the number of phase timers (ns) a KindForces frame carries: the forward
+// exchange's post-to-staged wall, the ghost wait, and the interior,
+// frontier and reduce times.
 const (
-	countsTrailer = 3
+	countsLen     = 4
 	forcesTrailer = 5
 )
 
 // handleStep runs one force evaluation: import owned positions, post the
 // ghost exchange, evaluate the interior block while it travels, receive
-// the ghosts, evaluate the frontier block, exchange reverse rows, reduce,
-// and return forces, slot-ordered pair energies and phase timers to the
-// driver.
+// the ghosts, evaluate the frontier block, exchange ghost partials, fold
+// and round, and return the owned forces, the energy partial and the phase
+// timers to the driver.
 func (s *RankServer) handleStep(f *transport.Frame) error {
 	h, rk := s.h, s.rk
 	h.stepTick = f.Step
@@ -514,6 +411,7 @@ func (s *RankServer) handleStep(f *transport.Frame) error {
 		h.pw[rk.gOf[t]] = v
 	}
 	h.parity ^= 1
+	rk.sum.Reset(len(rk.gOf))
 	post := time.Now()
 	rk.postGhosts()
 	interiorNs := rk.evalBlock(0, rk.nInterior, &rk.intView)
@@ -523,34 +421,26 @@ func (s *RankServer) handleStep(f *transport.Frame) error {
 	commNs := time.Since(post).Nanoseconds()
 	if errors.Is(rk.commErr, errRecoverInterrupt) {
 		// The recovery epoch opened while this rank waited for ghosts: its
-		// frame is parked for the serve loop, and the row exchange below
-		// reads only row and death frames, so it would wait for rows no
-		// peer will send while the driver waits for this rank's ack.
+		// frame is parked for the serve loop, and the reverse exchange
+		// below reads only partial and death frames, so it would wait for
+		// partials no peer will send while the driver waits for this
+		// rank's ack.
 		return s.settlePhaseComm(h.stepTick)
 	}
 	frontierNs := rk.evalBlock(rk.nInterior, rk.pairs.Len(), &rk.frontView)
-	rk.execExchangeRows()
+	rk.execReverse()
 	if rk.commErr != nil {
 		return s.settlePhaseComm(h.stepTick)
 	}
 	reduce := time.Now()
-	rk.execReduce()
-	reduceNs := time.Since(reduce).Nanoseconds()
-
+	rk.foldSelf()
+	rk.sum.AddShifts(h.model, rk.local.Species[:rk.nOwned])
 	out := &s.sendF
 	out.Reset(transport.KindForces, s.nr, h.stepTick)
-	vecs := out.EnsureVecs(rk.nOwned)
-	nSlots := 0
-	for t, g := range rk.gOf[:rk.nOwned] {
-		vecs[t] = h.forces[g]
-		nSlots += int(h.pairStart[g+1] - h.pairStart[g])
-	}
-	sc := out.EnsureScalars(nSlots + forcesTrailer)
-	k := 0
-	for _, g := range rk.gOf[:rk.nOwned] {
-		k += copy(sc[k:], h.pairE[h.pairStart[g]:h.pairStart[g+1]])
-	}
-	copy(sc[k:], []float64{float64(commNs), float64(waitNs), float64(interiorNs), float64(frontierNs), float64(reduceNs)})
+	rk.sum.RoundForces(out.EnsureVecs(rk.nOwned))
+	rk.sum.Energy.PutWords(out.EnsureInts(core.ExactSumWords))
+	reduceNs := time.Since(reduce).Nanoseconds()
+	copy(out.EnsureScalars(forcesTrailer), []float64{float64(commNs), float64(waitNs), float64(interiorNs), float64(frontierNs), float64(reduceNs)})
 	if err := s.ep.Send(out); err != nil {
 		return fmt.Errorf("rankd %d: send forces: %w", s.id, err)
 	}

@@ -20,8 +20,8 @@ import (
 //	         survivors' buddy shards (KindReplicaReq/KindReplicaRep)
 //	resume   ClearFailure + rewinding the integrator to the replication
 //	         point; replayed steps are bit-identical to the uninterrupted
-//	         run because the canonical slot-order reduction makes forces a
-//	         pure function of positions.
+//	         run because exact, order-free force sums make forces a pure
+//	         function of positions.
 //
 // Each phase is timed into a RecoveryTimers record, exported through
 // perfmodel into BENCH_recovery.json.
@@ -32,7 +32,7 @@ type Phase string
 const (
 	// PhaseConfig: the rendezvous (initial or rejoin config reship).
 	PhaseConfig Phase = "config"
-	// PhaseRebuild: the rebuild broadcast / counts / layout protocol.
+	// PhaseRebuild: the rebuild broadcast / counts protocol.
 	PhaseRebuild Phase = "rebuild"
 	// PhaseStep: a per-step force evaluation.
 	PhaseStep Phase = "step"

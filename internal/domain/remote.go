@@ -12,38 +12,37 @@ import (
 )
 
 // This file is the driver half of the decomposition: a RemoteRuntime runs
-// the global bookkeeping — ownership classification, the canonical slot
-// layout, force/energy assembly, the step statistics — while the rank
-// bodies run as RankServers: separate processes (allegro-rankd) on a TCP
-// fleet, or goroutines on the channel transport behind Runtime. Everything
+// the global bookkeeping — ownership classification, the rebuild trigger,
+// force and energy assembly, the step statistics — while the rank bodies
+// run as RankServers: separate processes (allegro-rankd) on a TCP fleet,
+// or goroutines on the channel transport behind Runtime. Everything
 // rank-local travels as transport frames; everything global is derived
-// with the shared helpers (wrapPositions, skinTriggered, rankOfCell,
-// core.ReduceRows), so a trajectory is bit-identical on every host.
+// with the shared helpers (wrapPositions, skinTriggered, rankOfCell) and
+// every sum is exact (core.ExactSum), so a trajectory is bit-identical on
+// every host and equal to the serial engine's.
 //
 // Protocol (driver is transport rank nranks; grid ranks are 0..nranks-1):
 //
 //	rendezvous  driver -> rank  KindConfig   JSON config + serialized model
 //	            rank -> driver  KindConfig   ready ack
 //	rebuild     driver -> all   KindRebuild  Ints=owner, Vecs=wrapped pos
-//	            rank -> driver  KindCounts   Ints=pair count per owned atom,
-//	                                         then interior pairs, ghosts,
-//	                                         ghost rows
-//	            driver -> all   KindLayout   Ints=pairStart prefix (len n+1)
-//	            rank <-> rank   KindFwdPlan/KindRowPlan (peer plan swap)
+//	            rank -> driver  KindCounts   Ints=interior pairs, ghosts,
+//	                                         remote ghosts, pairs
+//	            rank <-> rank   KindFwdPlan  (peer plan swap)
 //	step        driver -> rank  KindOwnedPos Vecs=wrapped owned positions
-//	            rank <-> rank   KindGhostPos / KindRows (peer exchanges)
-//	            rank -> driver  KindForces   Vecs=owned forces,
-//	                                         Scalars=pair energies in
-//	                                         ascending-slot order, then
-//	                                         the rank's phase timers
+//	            rank <-> rank   KindGhostPos forward, KindRows reverse
+//	                                         (one exact partial per ghost)
+//	            rank -> driver  KindForces   Vecs=owned forces (rounded),
+//	                                         Ints=energy partial (4 words),
+//	                                         Scalars=phase timers
 //	shutdown    driver -> all   KindShutdown
 //	            rank -> driver  KindShutdown ack; the driver then closes
 //	                                         the transport
 //
 // Frames between driver and one rank are ordered (per-link FIFO), and the
 // driver never issues step k+1 before every rank delivered step k, so rank
-// serve loops see a strict Rebuild/Layout/OwnedPos sequence; only peer
-// frames can race ahead, which the rank phases park in their stash.
+// serve loops see a strict Rebuild/OwnedPos sequence; only peer frames can
+// race ahead, which the rank phases park in their stash.
 
 // RemoteOptions configures a distributed runtime.
 type RemoteOptions struct {
@@ -95,10 +94,6 @@ type RemoteRuntime struct {
 	refPos  [][3]float64
 	owner   []int32
 	ownedOf [][]int32 // per rank: owned atoms ascending (rebuilt each rebuild)
-
-	pairCnt   []int32
-	pairStart []int32
-	pairE     []float64
 
 	sendF, recvF transport.Frame
 	seen         []bool
@@ -158,10 +153,7 @@ func NewRemoteRuntime(m *core.Model, sys *atoms.System, opts RemoteOptions) (*Re
 		refPos:  make([][3]float64, n),
 		owner:   make([]int32, n),
 		ownedOf: make([][]int32, nr),
-
-		pairCnt:   make([]int32, n),
-		pairStart: make([]int32, n+1),
-		seen:      make([]bool, nr),
+		seen:    make([]bool, nr),
 
 		driverRepl: newReplStore(),
 	}
@@ -357,13 +349,12 @@ func (r *RemoteRuntime) energyForces(sys *atoms.System, forces [][3]float64, rea
 		return r.energy
 	}
 	r.stats.Steps++
-	r.energy = core.ReduceRows(r.model, r.sys.Species, nil, nil, r.pairE, nil)
 	r.noteOK()
 	return r.energy
 }
 
-// rebuild re-derives ownership and the canonical slot layout, and drives
-// the rank fleet's rebuild (their lists, plans, and peer plan swap).
+// rebuild re-derives ownership and drives the rank fleet's rebuild (their
+// lists, plans, and peer plan swap).
 func (r *RemoteRuntime) rebuild() error {
 	r.stats.Rebuilds++
 	r.rebuildTick++
@@ -393,60 +384,36 @@ func (r *RemoteRuntime) rebuild() error {
 			return fmt.Errorf("domain: rebuild broadcast to rank %d: %w", d, err)
 		}
 	}
-	// Per-center pair counts come back per rank (each center is owned by
-	// exactly one rank, so the scatter is disjoint), followed by the rank's
-	// workload counters.
+	// Each rank returns its workload counters.
 	st := &r.stats
-	st.InteriorPairs, st.MaxOwned, st.MaxGhosts, st.TotalGhost = 0, 0, 0, 0
+	st.PairWork, st.InteriorPairs, st.MaxOwned, st.MaxGhosts, st.TotalGhost = 0, 0, 0, 0, 0
 	st.ForwardBytesPerStep, st.ReverseBytesPerStep = 0, 0
 	err := r.collect(transport.KindCounts, r.rebuildTick, -1, func(s int, g *transport.Frame) error {
-		owned := r.ownedOf[s]
-		if len(g.Ints) != len(owned)+countsTrailer {
-			return fmt.Errorf("domain: rank %d sent %d pair counts, owns %d atoms", s, len(g.Ints)-countsTrailer, len(owned))
+		if len(g.Ints) != countsLen {
+			return fmt.Errorf("domain: rank %d sent %d counters, want %d", s, len(g.Ints), countsLen)
 		}
-		for k, a := range owned {
-			r.pairCnt[a] = g.Ints[k]
-		}
-		tail := g.Ints[len(owned):]
-		interior, ghosts, ghostRows := int(tail[0]), int(tail[1]), int(tail[2])
+		interior, ghosts, remote, pairs := int(g.Ints[0]), int(g.Ints[1]), int(g.Ints[2]), int(g.Ints[3])
+		st.PairWork += pairs
 		st.InteriorPairs += interior
-		st.MaxOwned = max(st.MaxOwned, len(owned))
+		st.MaxOwned = max(st.MaxOwned, len(r.ownedOf[s]))
 		st.MaxGhosts = max(st.MaxGhosts, ghosts)
 		st.TotalGhost += ghosts
-		st.ForwardBytesPerStep += ghosts * 24    // 3 float64 per ghost position
-		st.ReverseBytesPerStep += ghostRows * 24 // 3 float64 per ghost force row
+		st.ForwardBytesPerStep += ghosts * 24               // 3 float64 per ghost position
+		st.ReverseBytesPerStep += remote * partialWords * 4 // one exact partial per remote ghost
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	total := int32(0)
-	r.pairStart[0] = 0
-	for i := 0; i < r.n; i++ {
-		total += r.pairCnt[i]
-		r.pairStart[i+1] = total
-	}
-	nPairs := int(total)
-	if cap(r.pairE) < nPairs {
-		r.pairE = make([]float64, nPairs)
-	}
-	r.pairE = r.pairE[:nPairs]
-	r.stats.PairWork = nPairs
-	for d := 0; d < r.nr; d++ {
-		f.Reset(transport.KindLayout, d, r.rebuildTick)
-		copy(f.EnsureInts(r.n+1), r.pairStart)
-		if err := r.ep.Send(f); err != nil {
-			return fmt.Errorf("domain: layout broadcast to rank %d: %w", d, err)
-		}
-	}
-	// The ranks now run slots + the peer plan swap on their own; the next
-	// step's owned positions queue behind the layout frame (FIFO links).
+	// The ranks now run the peer plan swap on their own; the next step's
+	// owned positions queue behind it (FIFO links).
 	r.started = true
 	return nil
 }
 
 // step ships every rank its owned positions and assembles the returned
-// forces, pair energies and phase timers (the slowest rank's per phase).
+// forces, the energy (the ranks' exact partials merged, rounded once) and
+// the phase timers (the slowest rank's per phase).
 func (r *RemoteRuntime) step(forces [][3]float64, ready func([]int32)) error {
 	f := &r.sendF
 	for d := 0; d < r.nr; d++ {
@@ -461,24 +428,18 @@ func (r *RemoteRuntime) step(forces [][3]float64, ready func([]int32)) error {
 		}
 	}
 	var slowest [forcesTrailer]float64
+	var energy core.ExactSum
 	err := r.collect(transport.KindForces, r.stepTick, -1, func(s int, g *transport.Frame) error {
 		owned := r.ownedOf[s]
-		if len(g.Vecs) != len(owned) {
-			return fmt.Errorf("domain: rank %d sent %d forces, owns %d atoms", s, len(g.Vecs), len(owned))
+		if len(g.Vecs) != len(owned) || len(g.Ints) != core.ExactSumWords || len(g.Scalars) != forcesTrailer {
+			return fmt.Errorf("domain: rank %d sent %d forces, %d energy words and %d timers; owns %d atoms",
+				s, len(g.Vecs), len(g.Ints), len(g.Scalars), len(owned))
 		}
-		nSlots := 0
-		for _, a := range owned {
-			nSlots += int(r.pairCnt[a])
-		}
-		if len(g.Scalars) != nSlots+forcesTrailer {
-			return fmt.Errorf("domain: rank %d sent %d pair energies, holds %d slots", s, len(g.Scalars)-forcesTrailer, nSlots)
-		}
-		k := 0
 		for i, a := range owned {
 			forces[a] = g.Vecs[i]
-			k += copy(r.pairE[r.pairStart[a]:r.pairStart[a+1]], g.Scalars[k:])
 		}
-		for i, ns := range g.Scalars[k:] {
+		energy.Merge(core.ExactSumFromWords(g.Ints))
+		for i, ns := range g.Scalars {
 			slowest[i] = max(slowest[i], ns)
 		}
 		if ready != nil {
@@ -489,6 +450,7 @@ func (r *RemoteRuntime) step(forces [][3]float64, ready func([]int32)) error {
 	if err != nil {
 		return err
 	}
+	r.energy = r.model.RoundEnergy(energy)
 	st := &r.stats
 	st.CommWallNs += int64(slowest[0])
 	st.ExchangeWaitNs += int64(slowest[1])

@@ -138,8 +138,8 @@ func TestRemoteRuntimeBitwiseVsLocal(t *testing.T) {
 
 // TestRuntimeTrajectoryBitwiseAcrossTransports is the transport-layer
 // variant of the central bitwise property: the trajectory must not depend
-// on which wire the fleet's frames travel. Positions and rows move as
-// IEEE-754 bit patterns and land in canonical slots, so the
+// on which wire the fleet's frames travel. Positions move as IEEE-754 bit
+// patterns and force partials as exact integers, so the
 // fault-injection wrapper — transparent, and actively dropping,
 // duplicating and delaying frames, which every receiver discards by (Src,
 // Kind, Step) — gives the same bits as the in-process runtime on every

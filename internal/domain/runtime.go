@@ -58,8 +58,8 @@ type RuntimeStats struct {
 	TotalGhost    int // ghost imports summed over ranks at the last rebuild
 	// ForwardBytesPerStep is the forward ghost-exchange volume: the ghost
 	// positions every rank refreshes from its neighbors each step.
-	// ReverseBytesPerStep is the reverse volume: force rows computed on
-	// ghost neighbors that flow back to the owning ranks in the reduction.
+	// ReverseBytesPerStep is the reverse volume: one exact force partial
+	// (48 B) per ghost owned by another rank, sent back to its owner.
 	ForwardBytesPerStep int
 	ReverseBytesPerStep int
 
@@ -110,13 +110,16 @@ func (s RuntimeStats) OverlapFraction() float64 {
 // block (centers whose environments reference no ghost) evaluates while it
 // is in flight, and the frontier block evaluates on arrival.
 //
-// Determinism: every pair is assigned a canonical global slot — ascending
-// global center atom, then (global neighbor, periodic image) — independent
-// of the rank grid, and per-atom forces and the total energy are reduced in
-// slot order. Combined with Allegro's strict locality (a center's pairs
-// form an independent sub-graph wholly owned by one rank), trajectories are
-// bit-identical across rank grids, worker counts, skin values and
-// transports.
+// Determinism: each center's pairs are ordered by (global neighbor,
+// periodic image), the order neighbor.Builder gives the serial list, so a
+// center's rows are the same bits on every grid (Allegro's strict locality
+// makes a center's pairs an independent sub-graph wholly owned by one
+// rank). Forces and the energy are exact integer sums of those rows (see
+// core.ExactSum): every rank sums its pairs into per-atom partials, returns
+// each ghost's partial to the atom's owner, and rounds its owned atoms
+// once. Integer sums do not depend on order, so trajectories are
+// bit-identical to the serial engine across rank grids, worker counts, skin
+// values and transports.
 //
 // Goroutine ranks cannot die, so there is no failure path: a latched fleet
 // error panics. Rank failure and elastic recovery are driven through
@@ -324,10 +327,9 @@ func rankOfCell(grid [3]int, sub [3]float64, p [3]float64) int {
 	return (c[0]*grid[1]+c[1])*grid[2] + c[2]
 }
 
-// host is the global state one rank's phases read and write: the system's
-// constants, the driver-broadcast ownership and wrapped positions, the
-// canonical slot layout, and slot-indexed row and pair-energy buffers. Only
-// RankServer builds one; its arrays are filled from the driver's frames.
+// host is the global state one rank's phases read: the system's constants
+// and the driver-broadcast ownership and wrapped positions. Only RankServer
+// builds one; its arrays are filled from the driver's frames.
 type host struct {
 	model   *core.Model
 	species []units.Species
@@ -339,14 +341,6 @@ type host struct {
 	n     int
 	pw    [][3]float64 // wrapped positions: every atom at a rebuild, owned atoms each step
 	owner []int32      // owning rank per atom, frozen between rebuilds
-
-	pairCnt   []int32      // per-atom pair count (rebuild scratch)
-	pairStart []int32      // slot prefix per atom, len n+1
-	rows      [][3]float64 // force row per slot: this rank's pairs and the rows peers push here
-	pairE     []float64    // pair energy per slot (this rank's pairs)
-	adj       []int32      // per owned atom, signed slot refs: slot<<1 | isNeighborSide
-	adjPtr    []int32      // len n+1
-	forces    [][3]float64 // reduced forces of owned atoms
 
 	parity int // double-buffer half the current step's exchange fills
 
@@ -373,10 +367,12 @@ type rank struct {
 
 	builder  neighbor.Builder
 	pairs    neighbor.Pairs
-	slotOf   []int32
 	scratch  *core.EvalScratch
 	rowsBuf  [][3]float64
 	pairEBuf []float64
+	// sum holds one step's exact force partial per local atom (owned and
+	// ghost) and the rank's energy partial.
+	sum core.Partial
 
 	// Interior/frontier partition of the canonical local pair list: pairs
 	// [0, nInterior) form the interior block, the rest the frontier block.
@@ -394,7 +390,7 @@ type rank struct {
 	tmpI, tmpJ             []int
 	tmpVec                 [][3]float64
 	tmpDist, tmpCut        []float64
-	nGhosts, ghostRowCount int
+	nGhosts, nRemoteGhosts int
 
 	// Transport attachment and rebuild-derived exchange plans (see
 	// exchange.go). sendF/recvF are this rank's reusable staging frames;
@@ -402,8 +398,7 @@ type rank struct {
 	// rebuilds, so the steady-state framed exchange allocates nothing.
 	ep           transport.Endpoint
 	sendF, recvF transport.Frame
-	seen         []bool  // per-phase receive bookkeeping, indexed by rank
-	planBits     []uint8 // plan-exchange receipt mask per peer (bit 0 fwd, bit 1 row)
+	seen         []bool // per-phase receive bookkeeping, indexed by rank
 	// stash parks frames that arrive during a phase that does not consume
 	// them: ranks share no barrier, so a fast peer's rows can land while
 	// this rank still waits for another peer's ghosts, and a peer's ghosts
@@ -411,26 +406,18 @@ type rank struct {
 	// free, so a steady step allocates nothing.
 	stash, free []*transport.Frame
 
-	// Forward (ghost-position) plans. Self-owned images bypass the
-	// transport: selfGhostIdx/selfGhostAtom list arena slots whose owner is
-	// this rank. fwdNeed[s]/fwdArena[s] are the global atoms this rank
-	// imports from s and their arena destinations (sent to s as the
-	// receiver-driven KindFwdPlan); sendFwd[d] is the pack order peer d
-	// asked this rank for.
-	selfGhostIdx  []int32
-	selfGhostAtom []int32
-	fwdNeed       [][]int32
-	fwdArena      [][]int32
-	sendFwd       [][]int32
-
-	// Reverse (force-row) plans. rowSendT[d] lists this rank's local pair
-	// indices whose ghost neighbor is owned by d, ascending; rowPlan[d] is
-	// the matching interleaved (slot, atom) wire plan sent to d as
-	// KindRowPlan; rowRecv[s] is the interleaved plan received from s,
-	// scattered as rows arrive.
-	rowSendT [][]int32
-	rowPlan  [][]int32
-	rowRecv  [][]int32
+	// Exchange plan. Self-owned images bypass the transport:
+	// selfGhostIdx/selfGhostOwn list arena slots whose owner is this rank
+	// and the owned local index they image. fwdNeed[s]/fwdArena[s] are the
+	// global atoms this rank imports from s and their arena destinations
+	// (sent to s as the receiver-driven KindFwdPlan); sendFwd[d] is the
+	// pack order peer d asked this rank for, as owned local indices. The
+	// reverse exchange runs the same lists transposed.
+	selfGhostIdx []int32
+	selfGhostOwn []int32
+	fwdNeed      [][]int32
+	fwdArena     [][]int32
+	sendFwd      [][]int32
 
 	// commErr latches this rank's first transport failure of the current
 	// phase; the rank server NACKs the driver with it.
@@ -462,13 +449,9 @@ func newRank(h *host, id int, ep transport.Endpoint, grid [3]int, sub [3]float64
 	rk.scratch.Workers = workers
 	rk.builder.Skin = h.skin
 	rk.seen = make([]bool, nr)
-	rk.planBits = make([]uint8, nr)
 	rk.fwdNeed = make([][]int32, nr)
 	rk.fwdArena = make([][]int32, nr)
 	rk.sendFwd = make([][]int32, nr)
-	rk.rowSendT = make([][]int32, nr)
-	rk.rowPlan = make([][]int32, nr)
-	rk.rowRecv = make([][]int32, nr)
 	return rk
 }
 
@@ -496,6 +479,7 @@ func (rk *rank) execRebuild() {
 	// owner's wrapped position plus its shift on every grid.
 	haloTot := h.halo + h.skin
 	cell := h.cell
+	rk.nRemoteGhosts = 0
 	for j := 0; j < h.n; j++ {
 		p := h.pw[j]
 		for sx := -1; sx <= 1; sx++ {
@@ -514,6 +498,9 @@ func (rk *rank) execRebuild() {
 						}
 					}
 					if inside {
+						if h.owner[j] != int32(rk.id) {
+							rk.nRemoteGhosts++
+						}
 						rk.gOf = append(rk.gOf, int32(j))
 						rk.shift = append(rk.shift, sh)
 						rk.code = append(rk.code, uint8((sx+1)*9+(sy+1)*3+(sz+1)))
@@ -563,26 +550,13 @@ func (rk *rank) execRebuild() {
 	rk.intView = pairsView(&rk.pairs, 0, rk.nInterior)
 	rk.frontView = pairsView(&rk.pairs, rk.nInterior, rk.pairs.Len())
 
-	// Publish per-center pair counts (centers are owned, hence disjoint
-	// across ranks) and count reverse-exchange rows.
-	rk.ghostRowCount = 0
-	p := &rk.pairs
-	for t := 0; t < p.Len(); t++ {
-		h.pairCnt[rk.gOf[p.I[t]]]++
-		if p.J[t] >= rk.nOwned {
-			rk.ghostRowCount++
-		}
+	z := rk.pairs.Len()
+	if cap(rk.rowsBuf) < z {
+		rk.rowsBuf = make([][3]float64, z)
+		rk.pairEBuf = make([]float64, z)
 	}
-	if cap(rk.rowsBuf) < p.Len() {
-		rk.rowsBuf = make([][3]float64, p.Len())
-		rk.pairEBuf = make([]float64, p.Len())
-	}
-	rk.rowsBuf = rk.rowsBuf[:p.Len()]
-	rk.pairEBuf = rk.pairEBuf[:p.Len()]
-	if cap(rk.slotOf) < p.Len() {
-		rk.slotOf = make([]int32, p.Len())
-	}
-	rk.slotOf = rk.slotOf[:p.Len()]
+	rk.rowsBuf = rk.rowsBuf[:z]
+	rk.pairEBuf = rk.pairEBuf[:z]
 }
 
 // pairsView carves the [lo,hi) sub-list of p as an aliasing Pairs value
@@ -597,8 +571,9 @@ func pairsView(p *neighbor.Pairs, lo, hi int) neighbor.Pairs {
 }
 
 // canonicalize orders each center's pairs by (global neighbor, periodic
-// image) — a key independent of the rank grid and of the local cell-scan
-// order, so per-center environment sums accumulate identically everywhere.
+// image) — a key independent of the rank grid and of the local index
+// order, and the serial list's order (one image per neighbor), so
+// per-center environment sums accumulate identically everywhere.
 func (rk *rank) canonicalize() {
 	p := &rk.pairs
 	z := p.Len()
@@ -633,29 +608,12 @@ func (rk *rank) canonicalize() {
 	}
 }
 
-// execSlots assigns every local pair its global slot. A rank's pairs are
-// grouped by contiguous center blocks (canonical within each class), so
-// each center's block lands contiguously at the center's canonical offset;
-// the partition moved whole blocks, never split one.
-func (rk *rank) execSlots() {
-	p := &rk.pairs
-	z := p.Len()
-	for t := 0; t < z; {
-		center := p.I[t]
-		slot := rk.h.pairStart[rk.gOf[center]]
-		for ; t < z && p.I[t] == center; t++ {
-			rk.slotOf[t] = slot
-			slot++
-		}
-	}
-}
-
 // evalBlock evaluates one block of this rank's pair list and returns the
 // time it took (zero for an empty block): refresh the block's pair vectors
 // from current positions with the one minimum-image formula used on all
 // grids — interior blocks read owned positions only; frontier blocks read
 // ghost neighbors from the staged arena the forward exchange filled —
-// evaluate the block's rows, and scatter them to their canonical slots.
+// evaluate the block's rows, and add them to the local atoms' exact sums.
 func (rk *rank) evalBlock(lo, hi int, view *neighbor.Pairs) int64 {
 	if hi <= lo {
 		return 0
@@ -666,11 +624,7 @@ func (rk *rank) evalBlock(lo, hi int, view *neighbor.Pairs) int64 {
 		rk.refreshPair(t)
 	}
 	h.model.EvaluateRowsInto(rk.scratch, rk.local, view, rk.rowsBuf[lo:hi], rk.pairEBuf[lo:hi])
-	for t := lo; t < hi; t++ {
-		s := rk.slotOf[t]
-		h.rows[s] = rk.rowsBuf[t]
-		h.pairE[s] = rk.pairEBuf[t]
-	}
+	rk.sum.AddRows(view, rk.rowsBuf[lo:hi], rk.pairEBuf[lo:hi])
 	return time.Since(start).Nanoseconds()
 }
 
@@ -699,25 +653,14 @@ func (rk *rank) refreshPair(t int) {
 	p.Dist[t] = math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
 }
 
-// execReduce computes every owned atom's force from the slot rows in
-// ascending slot order — bitwise the serial accumulation, partitioned by
-// ownership.
-func (rk *rank) execReduce() {
-	h := rk.h
-	for _, a := range rk.gOf[:rk.nOwned] {
-		var f [3]float64
-		for _, e := range h.adj[h.adjPtr[a]:h.adjPtr[a+1]] {
-			row := &h.rows[e>>1]
-			if e&1 == 0 {
-				f[0] += row[0]
-				f[1] += row[1]
-				f[2] += row[2]
-			} else {
-				f[0] -= row[0]
-				f[1] -= row[1]
-				f[2] -= row[2]
-			}
+// foldSelf merges every self-owned periodic image's partial into the owned
+// atom it images: after the reverse exchange, the owned atoms' sums are
+// complete.
+func (rk *rank) foldSelf() {
+	for k, idx := range rk.selfGhostIdx {
+		own := &rk.sum.Forces[rk.selfGhostOwn[k]]
+		for c, a := range &rk.sum.Forces[rk.nOwned+int(idx)] {
+			own[c].Merge(a)
 		}
-		h.forces[a] = f
 	}
 }

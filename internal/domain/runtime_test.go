@@ -1,9 +1,11 @@
 package domain
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/md"
 )
@@ -26,15 +28,33 @@ func runTrajectory(t *testing.T, opts RuntimeOptions, steps int, tempK float64) 
 }
 
 // TestRuntimeTrajectoryBitwiseAcrossGridsAndSkins is the central property of
-// the persistent runtime: NVE trajectories are bit-identical to the
-// single-rank path for every rank grid and every Verlet skin — the
-// canonical slot ordering makes the decomposition exact, not approximately
-// correct. The trajectory is long and hot enough to trigger several
-// rebuilds, so the rebuild schedule and migrations are covered too.
+// the persistent runtime: NVE trajectories are bit-identical to the serial
+// engine (core.Evaluator) and to the single-rank path for every rank grid
+// and every Verlet skin — one per-center pair order and exact sums make the
+// decomposition exact, not approximately correct. The trajectory is long
+// and hot enough to trigger several rebuilds, so the rebuild schedule and
+// migrations are covered too.
 func TestRuntimeTrajectoryBitwiseAcrossGridsAndSkins(t *testing.T) {
 	const steps, temp = 40, 600.0
 	base := runTrajectory(t, RuntimeOptions{Grid: [3]int{1, 1, 1}, Skin: 0.5}, steps, temp)
 	defer base.Close()
+
+	serialSys := data.WaterBox(rand.New(rand.NewPCG(31, 32)), 3, 3, 3)
+	ev := core.NewEvaluator(tinyModel(t))
+	defer ev.Close()
+	serial := md.NewSim(serialSys, ev, 0.5)
+	serial.InitVelocities(temp, rand.New(rand.NewPCG(33, 34)))
+	serial.Run(steps)
+	if serial.Energy != base.Energy {
+		t.Errorf("serial evaluator: energy %.17g != 1x1x1 %.17g", serial.Energy, base.Energy)
+	}
+	for i := range base.Sys.Pos {
+		if serialSys.Pos[i] != base.Sys.Pos[i] || serial.Forces[i] != base.Forces[i] {
+			t.Errorf("serial evaluator: atom %d diverged from 1x1x1: %v vs %v", i, serialSys.Pos[i], base.Sys.Pos[i])
+			break
+		}
+	}
+
 	variants := []RuntimeOptions{
 		{Grid: [3]int{1, 1, 1}, Skin: 0},                      // rebuild every step
 		{Grid: [3]int{1, 1, 1}, Skin: 0.8},                    // different rebuild cadence
@@ -126,20 +146,17 @@ func TestRuntimeMigration(t *testing.T) {
 }
 
 // TestRuntimeStepZeroAllocSteadyState pins the steady-state contract: with
-// warm lists and no rebuild trigger, a decomposed step performs zero heap
-// allocations across all rank workers — with the bulk-synchronous schedule
-// and with the overlap pipeline (async exchange, split reduction, pipelined
-// ready callbacks) alike.
+// warm lists and no rebuild trigger, a decomposed step — ghost exchange
+// hidden behind the interior block, the reverse partial exchange, and the
+// pipelined ready callbacks — performs zero heap allocations across the
+// driver and every rank. The 2x2x2 grid has peers that race ahead, so its
+// ranks park ghost and partial frames in their reserved pools.
 func TestRuntimeStepZeroAllocSteadyState(t *testing.T) {
-	for _, overlap := range []bool{false, true} {
-		name := "sync"
-		if overlap {
-			name = "overlap"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, grid := range [][3]int{{2, 1, 1}, {2, 2, 2}} {
+		t.Run(fmt.Sprintf("%dx%dx%d", grid[0], grid[1], grid[2]), func(t *testing.T) {
 			m := tinyModel(t)
 			sys := data.WaterBox(rand.New(rand.NewPCG(51, 52)), 3, 3, 3)
-			rt, err := NewRuntime(m, sys, RuntimeOptions{Grid: [3]int{2, 1, 1}, Skin: 0.5, Overlap: overlap})
+			rt, err := NewRuntime(m, sys, RuntimeOptions{Grid: grid, Skin: 0.5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,22 +238,21 @@ func TestRuntimeEmptyRank(t *testing.T) {
 }
 
 // validatePartition checks the interior/frontier split of every rank server
-// the runtime holds against the canonical slot layout: the two blocks are
-// disjoint, cover the rank's whole canonical pair list, map onto the global
-// slot space exactly once (no duplicates, no drops), interior pairs
-// reference no ghost data, and every frontier center has at least one
-// ghost neighbor. It also checks that every atom is owned — so reduced —
-// by exactly one rank, and that the ranks' reduction adjacencies reference
-// every slot exactly once from its center and once from its neighbor.
+// the runtime holds: the two blocks are disjoint and cover the rank's whole
+// canonical pair list, interior pairs reference no ghost data, and every
+// frontier center has at least one ghost neighbor. Across ranks, every
+// (global center, global neighbor, image) pair lives on exactly one rank,
+// every atom is owned — so rounded — by exactly one rank, and each ghost
+// arena slot's partial reaches its owner exactly once per step: folded
+// locally for a self-owned image, else sent to the owning rank, whose
+// transposed plan entry names the same atom.
 func validatePartition(t *testing.T, rt *Runtime) {
 	t.Helper()
-	n := rt.rr.n
-	nPairs := int(rt.rr.pairStart[n])
-	slotSeen := make([]int, nPairs)
-	refSeen := make([]int, 2*nPairs) // indexed by signed slot ref: slot<<1 | isNeighborSide
-	ownedBy := make([]int, n)
+	type pairKey struct{ center, neighbor, image int32 }
+	pairSeen := map[pairKey]int{}
+	ownedBy := make([]int, rt.rr.n)
 	for _, srv := range rt.servers {
-		rk, h := srv.rk, srv.h
+		rk := srv.rk
 		p := &rk.pairs
 		if rk.nInterior < 0 || rk.nInterior > p.Len() {
 			t.Fatalf("rank %d: nInterior %d out of range [0,%d]", rk.id, rk.nInterior, p.Len())
@@ -246,7 +262,7 @@ func validatePartition(t *testing.T, rt *Runtime) {
 				rk.id, rk.intView.Len(), rk.frontView.Len(), p.Len())
 		}
 		for z := 0; z < p.Len(); z++ {
-			slotSeen[rk.slotOf[z]]++
+			pairSeen[pairKey{rk.gOf[p.I[z]], rk.gOf[p.J[z]], int32(rk.code[p.J[z]])}]++
 			if z < rk.nInterior && p.J[z] >= rk.nOwned {
 				t.Fatalf("rank %d: interior pair %d references ghost neighbor", rk.id, z)
 			}
@@ -270,24 +286,50 @@ func validatePartition(t *testing.T, rt *Runtime) {
 		}
 		for _, a := range rk.gOf[:rk.nOwned] {
 			ownedBy[a]++
-			for _, e := range h.adj[h.adjPtr[a]:h.adjPtr[a+1]] {
-				refSeen[e]++
+		}
+
+		// Ghost partial routes: each arena slot is routed exactly once.
+		routed := make([]int, rk.nGhosts)
+		for k, idx := range rk.selfGhostIdx {
+			routed[idx]++
+			if own, g := rk.selfGhostOwn[k], rk.gOf[rk.nOwned+int(idx)]; own >= int32(rk.nOwned) || rk.gOf[own] != g {
+				t.Fatalf("rank %d: self image of atom %d folds into local atom %d", rk.id, g, own)
+			}
+		}
+		for s, arena := range rk.fwdArena {
+			if len(arena) == 0 {
+				continue
+			}
+			peer := rt.servers[s].rk
+			back := peer.sendFwd[rk.id]
+			if s == rk.id || len(back) != len(arena) {
+				t.Fatalf("rank %d: %d ghosts planned from rank %d, which packs %d", rk.id, len(arena), s, len(back))
+			}
+			for k, idx := range arena {
+				routed[idx]++
+				g := rk.gOf[rk.nOwned+int(idx)]
+				if rk.h.owner[g] != int32(s) || peer.gOf[back[k]] != g || back[k] >= int32(peer.nOwned) {
+					t.Fatalf("rank %d: ghost slot %d (atom %d) routes to rank %d local %d", rk.id, idx, g, s, back[k])
+				}
+			}
+		}
+		for idx, c := range routed {
+			if c != 1 {
+				t.Fatalf("rank %d: ghost slot %d routed %d times", rk.id, idx, c)
 			}
 		}
 	}
-	for s, c := range slotSeen {
+	for k, c := range pairSeen {
 		if c != 1 {
-			t.Fatalf("slot %d assigned %d times (interior+frontier must cover the canonical list exactly)", s, c)
+			t.Fatalf("pair %+v lives on %d ranks", k, c)
 		}
+	}
+	if len(pairSeen) != rt.Stats().PairWork {
+		t.Fatalf("%d distinct pairs across ranks, PairWork %d", len(pairSeen), rt.Stats().PairWork)
 	}
 	for a, c := range ownedBy {
 		if c != 1 {
-			t.Fatalf("atom %d owned and reduced by %d ranks", a, c)
-		}
-	}
-	for e, c := range refSeen {
-		if c != 1 {
-			t.Fatalf("slot %d side %d referenced %d times by the reduction adjacencies", e>>1, e&1, c)
+			t.Fatalf("atom %d owned and rounded by %d ranks", a, c)
 		}
 	}
 }
@@ -295,8 +337,8 @@ func validatePartition(t *testing.T, rt *Runtime) {
 // TestRuntimePartitionProperty is the partition property test of the rank
 // step: across rank grids, skins, and halo overrides — and through
 // boundary-crossing migrations on a hot trajectory — every rank's interior
-// and frontier blocks together are exactly its canonical pair list,
-// projected onto the global slot space with no duplicate and no drop.
+// and frontier blocks together are exactly its canonical pair list, every
+// pair lives on one rank, and every ghost partial has one route home.
 func TestRuntimePartitionProperty(t *testing.T) {
 	m := tinyModel(t)
 	cases := []RuntimeOptions{

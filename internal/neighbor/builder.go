@@ -117,9 +117,9 @@ func (p *Pairs) Reset(nAtoms int) {
 
 // BuildInto constructs the ordered pair list for sys into p, reusing p's
 // storage and the builder's scratch. The resulting pair order — ascending
-// center atom, then the serial 27-cell scan order — does not depend on the
-// worker count, so decompositions and force reductions built on top of it
-// are reproducible.
+// center atom, then ascending neighbor index — does not depend on the
+// worker count or on the cell geometry, so per-center environment sums are
+// reproducible.
 func (b *Builder) BuildInto(p *Pairs, sys *atoms.System, cuts *CutoffTable) {
 	n := sys.NumAtoms()
 	p.Reset(n)
@@ -349,6 +349,7 @@ func (b *Builder) scanCells(s *shard) {
 		cz := c % nbz
 		cy := (c / nbz) % nby
 		cx := c / (nby * nbz)
+		start := len(s.j)
 		for dx := -1; dx <= 1; dx++ {
 			for dy := -1; dy <= 1; dy++ {
 				for dz := -1; dz <= 1; dz++ {
@@ -382,6 +383,23 @@ func (b *Builder) scanCells(s *shard) {
 				}
 			}
 		}
+		s.sortCenter(start)
+	}
+}
+
+// sortCenter orders the pairs appended since start — one center's — by
+// ascending neighbor index (insertion sort: the 27-cell scan leaves short
+// ascending runs). The environment sums add a center's neighbors in list
+// order, so this one order is what makes a center's rows the same bits in
+// every list that holds it, serial or rank-local.
+func (s *shard) sortCenter(start int) {
+	for a := start + 1; a < len(s.j); a++ {
+		j, d, r, rc := s.j[a], s.vec[a], s.dist[a], s.cut[a]
+		b := a
+		for ; b > start && s.j[b-1] > j; b-- {
+			s.j[b], s.vec[b], s.dist[b], s.cut[b] = s.j[b-1], s.vec[b-1], s.dist[b-1], s.cut[b-1]
+		}
+		s.j[b], s.vec[b], s.dist[b], s.cut[b] = j, d, r, rc
 	}
 }
 

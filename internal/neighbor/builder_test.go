@@ -169,15 +169,27 @@ func TestBuilderReuseAcrossSizes(t *testing.T) {
 
 // TestBuildOrderStable pins the contract that Build's pair order is
 // ascending in the center atom (chunk merges depend on it).
+// TestBuildOrderStable pins the pair order every reduction relies on:
+// ascending center, then ascending neighbor index within each center, on
+// the cell-list path (periodic and open) at any worker count.
 func TestBuildOrderStable(t *testing.T) {
 	species := []units.Species{units.H, units.O}
 	rng := rand.New(rand.NewPCG(8, 8))
-	sys := randomPeriodic(rng, 150, 12, species)
+	open := randomPeriodic(rng, 600, 30, species)
+	open.PBC = false // > 512 atoms: still binned
 	cuts := PaperBioCutoffs(atoms.NewSpeciesIndex(species))
-	p := Build(sys, cuts)
-	for z := 1; z < p.NumReal; z++ {
-		if p.I[z] < p.I[z-1] {
-			t.Fatalf("pair %d: center %d after center %d", z, p.I[z], p.I[z-1])
+	for _, sys := range []*atoms.System{randomPeriodic(rng, 150, 12, species), open} {
+		for _, workers := range []int{1, 3} {
+			b := Builder{Workers: workers}
+			var p Pairs
+			b.BuildInto(&p, sys, cuts)
+			b.Close()
+			for z := 1; z < p.NumReal; z++ {
+				if p.I[z] < p.I[z-1] || p.I[z] == p.I[z-1] && p.J[z] <= p.J[z-1] {
+					t.Fatalf("pbc=%v workers=%d pair %d: (%d,%d) after (%d,%d)",
+						sys.PBC, workers, z, p.I[z], p.J[z], p.I[z-1], p.J[z-1])
+				}
+			}
 		}
 	}
 }

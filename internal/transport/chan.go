@@ -16,9 +16,9 @@ type chanSlot struct {
 }
 
 // slotsPerLink is the number of preallocated staging frames per directed
-// link. A rebuild's plan phase keeps two frames in flight per link
-// (forward plan + row plan); doubled for headroom against fault-injected
-// duplicates.
+// link. A step keeps up to two frames in flight per link (a ghost frame
+// and a partial frame racing ahead of it); doubled for headroom against
+// fault-injected duplicates.
 const slotsPerLink = 4
 
 type chanLink struct {

@@ -22,34 +22,30 @@ const (
 	// KindConfig ships the run configuration + serialized model to a rank
 	// daemon (Bytes = JSON).
 	KindConfig
-	// KindRebuild broadcasts wrapped global positions at a neighbor-list
-	// rebuild (Vecs = positions).
+	// KindRebuild broadcasts ownership and wrapped global positions at a
+	// neighbor-list rebuild (Ints = owning rank per atom, Vecs = positions).
 	KindRebuild
-	// KindCounts returns a rank's per-center pair counts to the driver
-	// (Ints = [nOwned, nGhosts, nInterior, ghostRows, nPairs, counts...]).
+	// KindCounts returns a rank's workload counters after a rebuild
+	// (rank -> driver; Ints = [interior pairs, ghosts, ghosts owned by
+	// other ranks, pairs]).
 	KindCounts
-	// KindLayout broadcasts the global slot prefix (Ints = pairStart).
-	KindLayout
-	// KindSlots returns a rank's local-order global slot ids (Ints = slotOf).
-	KindSlots
 	// KindFwdPlan is the receiver-driven ghost plan: dst tells src which
 	// global atoms it needs, in dst's ghost-arena order (Ints = atom ids).
+	// The reverse exchange runs the same plan transposed.
 	KindFwdPlan
-	// KindRowPlan is the sender-driven row plan: src tells dst which pair
-	// slots it will push rows for, ascending (Ints = interleaved
-	// [slot, neighborAtom] pairs).
-	KindRowPlan
 	// KindGhostPos carries one step's ghost positions for a link, in the
 	// agreed forward-plan order (Vecs).
 	KindGhostPos
-	// KindRows carries one step's frontier force rows for a link, in the
-	// agreed row-plan order (Vecs).
+	// KindRows carries one step's ghost force partials back to the atoms'
+	// owner, in the forward-plan order: per ghost three exact fixed-point
+	// sums of four words each (Ints, 12 per ghost).
 	KindRows
 	// KindOwnedPos pushes a rank's owned wrapped positions for one step
 	// (driver -> rank; Vecs).
 	KindOwnedPos
-	// KindForces returns a rank's reduced owned forces and local-order pair
-	// energies for one step (rank -> driver; Vecs = forces, Scalars = pairE).
+	// KindForces returns a rank's step result to the driver: its owned
+	// atoms' forces, rounded, in ascending atom order (Vecs), its exact
+	// energy partial (Ints, four words) and its phase timers (Scalars).
 	KindForces
 	// KindStatsReq asks a rank daemon for its transport link statistics.
 	KindStatsReq
@@ -95,10 +91,7 @@ var kindNames = [...]string{
 	KindConfig:       "config",
 	KindRebuild:      "rebuild",
 	KindCounts:       "counts",
-	KindLayout:       "layout",
-	KindSlots:        "slots",
 	KindFwdPlan:      "fwd-plan",
-	KindRowPlan:      "row-plan",
 	KindGhostPos:     "ghost-pos",
 	KindRows:         "rows",
 	KindOwnedPos:     "owned-pos",
@@ -210,7 +203,7 @@ func CopyFrame(dst, src *Frame) {
 //
 //	u32  body length (everything after this word)
 //	u16  magic "AF" (0x4146)
-//	u8   version (1)
+//	u8   version (2; bumped when a kind or payload changes meaning)
 //	u8   kind
 //	i32  src, i32 dst
 //	u64  step, u64 seq
@@ -222,7 +215,7 @@ func CopyFrame(dst, src *Frame) {
 // cross-transport determinism tests pin down.
 const (
 	frameMagic   = 0x4146
-	frameVersion = 1
+	frameVersion = 2
 	headerLen    = 2 + 1 + 1 + 4 + 4 + 8 + 8 + 4*4
 
 	// DefaultMaxFrame bounds a decoded body so a corrupt or hostile length
