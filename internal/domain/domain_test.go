@@ -106,27 +106,38 @@ func TestCenteredEvaluationPartitions(t *testing.T) {
 }
 
 // TestDecomposedMatchesSerial: a decomposed evaluation gives the serial
-// engine's bits. Both order each center's pairs by neighbor index and sum
-// rows exactly, so the rank grid leaves no trace in the result.
+// engine's bits. Both order each center's pairs by neighbor index, take
+// pair vectors from wrapped positions, and sum rows exactly, so the rank
+// grid leaves no trace in the result — on the cell-list path (3x3x3 box)
+// and on the all-pairs path of a box under three cutoffs wide, with atoms
+// stored outside the cell.
 func TestDecomposedMatchesSerial(t *testing.T) {
 	m := tinyModel(t)
 	rng := rand.New(rand.NewPCG(5, 6))
-	sys := data.WaterBox(rng, 3, 3, 3) // cell ~9.3 A per side... (3 cells)
 	// WaterBox(3,3,3) edge = 3*3.105=9.32; with halo 3.0 a 2x1x1 grid has
-	// subdomain 4.66 >= halo: valid.
-	eSerial, fSerial := m.EnergyForces(sys)
-	for _, grid := range [][3]int{{2, 1, 1}, {1, 2, 1}, {2, 2, 1}} {
-		e, f, st := evaluateOnce(t, m, sys, RuntimeOptions{Grid: grid, Halo: 3.0})
-		if e != eSerial {
-			t.Fatalf("grid %v: energy %.17g != serial %.17g", grid, e, eSerial)
-		}
-		for i := range fSerial {
-			if f[i] != fSerial[i] {
-				t.Fatalf("grid %v: force mismatch atom %d: %v vs %v", grid, i, f[i], fSerial[i])
+	// subdomain 4.66 >= halo: valid. WaterBox(2,2,2) edge 6.21 still splits
+	// in two along each axis.
+	big := data.WaterBox(rng, 3, 3, 3)
+	small := data.WaterBox(rng, 2, 2, 2)
+	for i := 0; i < small.NumAtoms(); i += 3 {
+		small.Pos[i][0] += small.Cell[0]
+		small.Pos[i][1] -= small.Cell[1]
+	}
+	for _, sys := range []*atoms.System{big, small} {
+		eSerial, fSerial := m.EnergyForces(sys)
+		for _, grid := range [][3]int{{2, 1, 1}, {1, 2, 1}, {2, 2, 1}} {
+			e, f, st := evaluateOnce(t, m, sys, RuntimeOptions{Grid: grid, Halo: 3.0})
+			if e != eSerial {
+				t.Fatalf("%d atoms, grid %v: energy %.17g != serial %.17g", sys.NumAtoms(), grid, e, eSerial)
 			}
-		}
-		if st.MaxGhosts == 0 {
-			t.Fatalf("grid %v: expected ghost imports", grid)
+			for i := range fSerial {
+				if f[i] != fSerial[i] {
+					t.Fatalf("%d atoms, grid %v: force mismatch atom %d: %v vs %v", sys.NumAtoms(), grid, i, f[i], fSerial[i])
+				}
+			}
+			if st.MaxGhosts == 0 {
+				t.Fatalf("%d atoms, grid %v: expected ghost imports", sys.NumAtoms(), grid)
+			}
 		}
 	}
 }

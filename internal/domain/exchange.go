@@ -243,7 +243,7 @@ func (rk *rank) waitGhosts() {
 		case transport.KindRecover:
 			// The epoch supersedes a peer death latched earlier in this
 			// phase (noteErr keeps only the first error): the caller
-			// must see the interrupt, or it walks into the row exchange
+			// must see the interrupt, or it walks into the reverse exchange
 			// with the epoch frame parked where that phase never looks.
 			rk.stashData()
 			rk.commErr = errRecoverInterrupt

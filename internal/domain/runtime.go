@@ -400,7 +400,7 @@ type rank struct {
 	sendF, recvF transport.Frame
 	seen         []bool // per-phase receive bookkeeping, indexed by rank
 	// stash parks frames that arrive during a phase that does not consume
-	// them: ranks share no barrier, so a fast peer's rows can land while
+	// them: ranks share no barrier, so a fast peer's partials can land while
 	// this rank still waits for another peer's ghosts, and a peer's ghosts
 	// can land before the driver's positions. Consumed frames return to
 	// free, so a steady step allocates nothing.

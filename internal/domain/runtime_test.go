@@ -222,14 +222,12 @@ func TestRuntimeEmptyRank(t *testing.T) {
 	eSerial, fSerial := m.EnergyForces(sys)
 
 	e, f, st := evaluateOnce(t, m, sys, RuntimeOptions{Grid: [3]int{2, 1, 1}, Halo: 3.0})
-	if diff := e - eSerial; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("energy with an empty rank: %.12g vs serial %.12g", e, eSerial)
+	if e != eSerial {
+		t.Fatalf("energy with an empty rank: %.17g vs serial %.17g", e, eSerial)
 	}
 	for i := range fSerial {
-		for k := 0; k < 3; k++ {
-			if d := f[i][k] - fSerial[i][k]; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("force mismatch at atom %d with an empty rank", i)
-			}
+		if f[i] != fSerial[i] {
+			t.Fatalf("force mismatch at atom %d with an empty rank: %v vs %v", i, f[i], fSerial[i])
 		}
 	}
 	if st.MaxOwned != sys.NumAtoms() {

@@ -128,7 +128,7 @@ func AblateLocality(scale Scale, seed uint64) *Report {
 	r.AddRow("serial wall time", fmt.Sprintf("%.1f ms", serialTime.Seconds()*1e3))
 	r.AddRow("decomposed wall time", fmt.Sprintf("%.1f ms", parTime.Seconds()*1e3))
 	r.AddRow("ghost imports (max/rank)", fmt.Sprintf("%d", st.MaxGhosts))
-	r.AddNote("exactness (dE, dF ~ 0 up to float64 roundoff) is the property that lets LAMMPS scale Allegro; an MPNN requires L x cutoff halos instead")
+	r.AddNote("exactness (dE = dF = 0 to the bit: one per-center pair order and exact force sums) is the property that lets LAMMPS scale Allegro; an MPNN requires L x cutoff halos instead")
 	return r
 }
 

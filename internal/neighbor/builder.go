@@ -46,7 +46,7 @@ type Builder struct {
 
 	// Reusable per-build scratch.
 	tIdx      []int        // species index per atom
-	pos       [][3]float64 // wrapped positions for binning
+	pos       [][3]float64 // positions, wrapped into the cell when periodic
 	cellIdx   []int32      // flat cell index per atom
 	cellPtr   []int32      // counting-sort cell offsets, len ncells+1
 	cellAtoms []int32      // atom indices grouped by cell, ascending per cell
@@ -136,6 +136,7 @@ func (b *Builder) BuildInto(p *Pairs, sys *atoms.System, cuts *CutoffTable) {
 		b.tIdx[i] = cuts.Index.Index(sp)
 	}
 
+	b.wrap()
 	b.binned = useCellList(sys, b.rcMax)
 	if b.binned {
 		b.bin()
@@ -215,8 +216,30 @@ func growVecs(s [][3]float64, n int) [][3]float64 {
 	return s[:n]
 }
 
-// bin computes the cell geometry, wraps positions, and counting-sorts atoms
-// into flat cell arrays (no per-cell slices, no map: the scratch is reused
+// wrap copies the positions into b.pos, wrapped into the cell when the
+// system is periodic: both scan paths take displacements from these
+// copies, with the same arithmetic as the domain runtime's wrapped
+// positions, so a pair's vector is the same bits on every engine.
+func (b *Builder) wrap() {
+	sys := b.sys
+	n := sys.NumAtoms()
+	if cap(b.pos) < n {
+		b.pos = make([][3]float64, n)
+	}
+	b.pos = b.pos[:n]
+	copy(b.pos, sys.Pos)
+	if sys.PBC {
+		for i := range b.pos {
+			for k := 0; k < 3; k++ {
+				l := sys.Cell[k]
+				b.pos[i][k] -= l * math.Floor(b.pos[i][k]/l)
+			}
+		}
+	}
+}
+
+// bin computes the cell geometry and counting-sorts the wrapped atoms into
+// flat cell arrays (no per-cell slices, no map: the scratch is reused
 // verbatim across MD steps).
 func (b *Builder) bin() {
 	sys, rc := b.sys, b.rcMax
@@ -245,20 +268,6 @@ func (b *Builder) bin() {
 			b.nb[k] = 1
 		}
 		cw[k] = ext / float64(b.nb[k])
-	}
-	if cap(b.pos) < n {
-		b.pos = make([][3]float64, n)
-	}
-	b.pos = b.pos[:n]
-	copy(b.pos, sys.Pos)
-	if sys.PBC {
-		// Bin wrapped copies; displacements below still apply minimum image.
-		for i := range b.pos {
-			for k := 0; k < 3; k++ {
-				l := sys.Cell[k]
-				b.pos[i][k] -= l * math.Floor(b.pos[i][k]/l)
-			}
-		}
 	}
 	if cap(b.cellIdx) < n {
 		b.cellIdx = make([]int32, n)
@@ -328,14 +337,13 @@ func (b *Builder) runChunk(ci int) {
 
 // scanAll is the O(N^2) minimum-image path for small or aperiodic systems.
 func (b *Builder) scanAll(s *shard) {
-	sys := b.sys
-	n := sys.NumAtoms()
+	n := len(b.pos)
 	for i := s.lo; i < s.hi; i++ {
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
 			}
-			b.visit(s, i, j, sys.Displacement(i, j))
+			b.visit(s, i, j)
 		}
 	}
 }
@@ -363,22 +371,9 @@ func (b *Builder) scanCells(s *shard) {
 					}
 					cj := (jx*nby+jy)*nbz + jz
 					for _, j32 := range b.cellAtoms[b.cellPtr[cj]:b.cellPtr[cj+1]] {
-						j := int(j32)
-						if j == i {
-							continue
+						if j := int(j32); j != i {
+							b.visit(s, i, j)
 						}
-						d := [3]float64{
-							b.pos[j][0] - b.pos[i][0],
-							b.pos[j][1] - b.pos[i][1],
-							b.pos[j][2] - b.pos[i][2],
-						}
-						if sys.PBC {
-							for k := 0; k < 3; k++ {
-								l := sys.Cell[k]
-								d[k] -= l * math.Round(d[k]/l)
-							}
-						}
-						b.visit(s, i, j, d)
 					}
 				}
 			}
@@ -403,11 +398,23 @@ func (s *shard) sortCenter(start int) {
 	}
 }
 
-// visit applies the ordered per-species-pair cutoff test (inflated by the
-// Verlet skin) and records the pair in the chunk's shard. The recorded
-// cutoff is the true ordered cutoff: skin pairs carry Dist >= Cut and a
-// zero cutoff envelope.
-func (b *Builder) visit(s *shard, i, j int, d [3]float64) {
+// visit takes the minimum-image vector from atom i to atom j (from the
+// wrapped copies, the arithmetic the domain runtime uses too), applies the
+// ordered per-species-pair cutoff test (inflated by the Verlet skin) and
+// records the pair in the chunk's shard. The recorded cutoff is the true
+// ordered cutoff: skin pairs carry Dist >= Cut and a zero cutoff envelope.
+func (b *Builder) visit(s *shard, i, j int) {
+	d := [3]float64{
+		b.pos[j][0] - b.pos[i][0],
+		b.pos[j][1] - b.pos[i][1],
+		b.pos[j][2] - b.pos[i][2],
+	}
+	if sys := b.sys; sys.PBC {
+		for k := 0; k < 3; k++ {
+			l := sys.Cell[k]
+			d[k] -= l * math.Round(d[k]/l)
+		}
+	}
 	r2 := d[0]*d[0] + d[1]*d[1] + d[2]*d[2]
 	if r2 > b.rcMax*b.rcMax || r2 == 0 {
 		return
